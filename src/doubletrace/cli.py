@@ -23,9 +23,15 @@ from .enumerator import (
     admits_parallel_strong,
     enumerate_traces,
 )
-from .graph import Graph, named_graph, normalize_base_edge, parse_edge_list, parse_graph6
+from .graph import (
+    Graph,
+    SizeGuardError,
+    named_graph,
+    normalize_base_edge,
+    parse_edge_list,
+    parse_graph6,
+)
 from .oracle import (
-    OracleSizeError,
     brute_enumerate,
     emit_orbit_graph,
     orbit_partition,
@@ -166,10 +172,6 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     traces = enumerate_traces(graph, config, jobs=args.jobs)
     seconds = time.perf_counter() - started
-    if not args.sort:
-        # Enumeration returns sorted output; the flag exists to make the
-        # ordering contract explicit, not to change it.
-        pass
     note = _feasibility_note(graph, config, len(traces))
     payload = {
         "graph": loaded.label,
@@ -354,12 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--count-only", action="store_true", help="report the count only")
     p_enum.add_argument("--format", choices=("text", "json"), default="text")
     p_enum.add_argument("--out", metavar="FILE", help="write traces to a file")
-    p_enum.add_argument(
-        "--sort",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="sort output lexicographically (always on; output is sorted)",
-    )
     p_enum.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     p_enum.set_defaults(func=cmd_enumerate)
 
@@ -411,15 +407,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OracleSizeError as exc:
+    except SizeGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except ValueError as exc:
-        if "refuses graphs" in str(exc):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_GUARD
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except Exception as exc:  # noqa: BLE001
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

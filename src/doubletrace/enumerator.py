@@ -21,6 +21,14 @@ per symmetry orbit.  Three mechanisms cooperate:
 
 Disabling `prune` and `canonical_extension` yields plain backtracking
 filtered by the final check; the output set is identical, only slower.
+
+One loop, `_descend`, runs the search, in place on a single
+`PartialTrace`.  The parallel path (`jobs > 1`) uses it twice: first
+with a stop depth, through `extend_feasibly`, to list the prefixes the
+search enters at the shallowest depth with at least `FRONTIER_PER_JOB`
+prefixes per worker; then in each worker, which replays every jobs-th
+of those prefixes and searches below it to full length.  Workers share
+no state, and the split is the same on every run.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .automorphism import AutGroup, SymmetryElement, automorphisms
-from .graph import Graph
+from .graph import Graph, SizeGuardError
 from .traces import (
     EnumerationConfig,
     is_canonical,
@@ -39,12 +47,17 @@ from .traces import (
     satisfies_orientation,
 )
 
+# `_enumerate_parallel` splits at the shallowest frontier with at least
+# this many prefixes per worker, so that one heavy subtree does not
+# leave the other workers idle.
+FRONTIER_PER_JOB = 16
+
 
 class PartialTrace:
     """Mutable prefix of a double trace with incremental bookkeeping.
 
     Tracks per-edge use counts and first traversal directions, per-vertex
-    visit counts, and the transition pairs already completed at each
+    visit counts, and the transition structure already completed at each
     vertex (a visit's pair is complete once both its neighbours in the
     walk are known; the pairs at w_0 and at the final vertex close only
     when the walk does).
@@ -56,7 +69,6 @@ class PartialTrace:
         "edge_count",
         "edge_from",
         "visits",
-        "pairs",
         "tmask",
         "pdeg",
         "_journal",
@@ -68,7 +80,6 @@ class PartialTrace:
         self.edge_count = [0] * graph.m
         self.edge_from = [-1] * graph.m
         self.visits = [0] * graph.n
-        self.pairs: list[list[tuple[int, int]]] = [[] for _ in range(graph.n)]
         # Transition structure as bitmasks over neighbour indices: at each
         # vertex u, tmask[u][i] holds the neighbours paired with adj[u][i]
         # and pdeg[u][i] how many pair slots of adj[u][i] are used (0..2).
@@ -103,10 +114,8 @@ class PartialTrace:
         self.edge_count[e] += 1
         self.visits[v] += 1
         if len(seq) >= 2:
-            a = seq[-2]
-            self.pairs[u].append((a, v))
             idx = self.graph.nbr_index[u]
-            ia = idx[a]
+            ia = idx[seq[-2]]
             ib = idx[v]
             tm = self.tmask[u]
             old_a = tm[ia]
@@ -130,26 +139,12 @@ class PartialTrace:
             self.edge_from[e] = -1
         self.visits[v] -= 1
         if u >= 0:
-            self.pairs[u].pop()
             tm = self.tmask[u]
             tm[ia] = old_a
             tm[ib] = old_b
             pd = self.pdeg[u]
             pd[ia] -= 1
             pd[ib] -= 1
-
-    def copy(self) -> "PartialTrace":
-        new = PartialTrace.__new__(PartialTrace)
-        new.graph = self.graph
-        new.seq = self.seq[:]
-        new.edge_count = self.edge_count[:]
-        new.edge_from = self.edge_from[:]
-        new.visits = self.visits[:]
-        new.pairs = [lst[:] for lst in self.pairs]
-        new.tmask = [lst[:] for lst in self.tmask]
-        new.pdeg = [lst[:] for lst in self.pdeg]
-        new._journal = self._journal[:]
-        return new
 
     def __len__(self) -> int:
         return len(self.seq)
@@ -461,99 +456,60 @@ def prune(retained: RetainedSymmetries, partial: PartialTrace) -> RetainedSymmet
     )
 
 
-@dataclass
-class SearchNode:
-    """Self-contained unit of work: a prefix plus its retained symmetries."""
+@dataclass(frozen=True)
+class _Search:
+    """What one search holds fixed; pool workers receive it whole."""
 
-    partial: PartialTrace
-    retained: RetainedSymmetries
+    graph: Graph
+    config: EnumerationConfig
+    aut: AutGroup
+    length: int
+    # Kind bound for `_kind_lookahead_ok`; 0 switches the lookahead off.
+    lookahead_bound: int
+    use_prune: bool
+    use_canonical_extension: bool
 
-
-def extend_feasibly(
-    partial: PartialTrace,
-    retained: RetainedSymmetries,
-    queue: list[SearchNode],
-    config: EnumerationConfig,
-    *,
-    use_prune: bool = True,
-    use_canonical_extension: bool = True,
-) -> None:
-    """Append one child node per surviving feasible extension."""
-    candidates = feasible_neighbors(partial, config)
-    if use_canonical_extension:
-        candidates = canonical_extension(partial, candidates, retained)
-    for v in candidates:
-        child = partial.copy()
-        child.push(v)
-        if use_prune:
-            rs = prune(retained, child)
-            if rs.smaller_witness is not None:
-                continue
-        else:
-            rs = retained
-        queue.append(SearchNode(child, rs))
+    def root(self) -> tuple[PartialTrace, RetainedSymmetries]:
+        """The base-edge prefix and the symmetries retained on it."""
+        rs = RetainedSymmetries.initial(self.aut, self.length)
+        if not self.use_prune:
+            rs = rs.unmaintained()
+        return PartialTrace.initial(self.graph), rs
 
 
-def _accept(
-    graph: Graph, seq: tuple[int, ...], config: EnumerationConfig, aut: AutGroup
-) -> bool:
+def _accept(search: _Search, seq: tuple[int, ...]) -> bool:
+    graph = search.graph
+    config = search.config
     return (
         is_double_trace(graph, seq)
         and satisfies_kind(graph, seq, config)
         and satisfies_orientation(graph, seq, config)
-        and is_canonical(graph, seq, aut)
+        and is_canonical(graph, seq, search.aut)
     )
-
-
-def _run_stack(
-    stack: list[SearchNode],
-    graph: Graph,
-    config: EnumerationConfig,
-    aut: AutGroup,
-    length: int,
-    use_prune: bool,
-    use_canonical_extension: bool,
-    use_kind_lookahead: bool,
-) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-    while stack:
-        node = stack.pop()
-        _descend(
-            node.partial,
-            node.retained,
-            graph,
-            config,
-            aut,
-            length,
-            use_prune,
-            use_canonical_extension,
-            use_kind_lookahead,
-            out,
-        )
-    return out
 
 
 def _descend(
     partial: PartialTrace,
     retained: RetainedSymmetries,
-    graph: Graph,
-    config: EnumerationConfig,
-    aut: AutGroup,
-    length: int,
-    use_prune: bool,
-    use_canonical_extension: bool,
-    use_kind_lookahead: bool,
+    search: _Search,
+    stop: int,
     out: list[tuple[int, ...]],
 ) -> None:
-    """Exhaust the subtree under one prefix, mutating it in place.
+    """Exhaust the subtree under one prefix down to length `stop`.
 
-    Children are explored by push/pop on a single PartialTrace rather
-    than by copying; each stack frame keeps the candidate list for its
-    prefix and the symmetries retained there.  The prefix is restored on
-    return.
+    At full length a prefix is a leaf and goes to `out` if `_accept`
+    takes it.  At a shorter stop the prefix itself goes to `out` and the
+    search backtracks.  Children are explored by push/pop on a single
+    PartialTrace rather than by copying; each stack frame keeps the
+    candidate list for its prefix and the symmetries retained there.
+    The prefix is restored on return.
     """
     seq = partial.seq
-    bound = _kind_bound(graph, config) if use_kind_lookahead else 0
+    config = search.config
+    bound = search.lookahead_bound
+    use_prune = search.use_prune
+    use_canonical_extension = search.use_canonical_extension
+    leaf = stop == search.length
 
     def expand(rs: RetainedSymmetries) -> list[int]:
         cands = feasible_neighbors(partial, config)
@@ -563,9 +519,9 @@ def _descend(
             cands = canonical_extension(partial, cands, rs)
         return cands
 
-    if len(seq) == length:
+    if len(seq) == stop:
         w = tuple(seq)
-        if _accept(graph, w, config, aut):
+        if not leaf or _accept(search, w):
             out.append(w)
         return
     frames: list[list] = [[expand(retained), 0, retained]]
@@ -587,53 +543,45 @@ def _descend(
                 continue
         else:
             child_rs = frame[2]
-        if len(seq) == length:
+        if len(seq) == stop:
             w = tuple(seq)
-            if _accept(graph, w, config, aut):
+            if not leaf or _accept(search, w):
                 out.append(w)
             partial.pop()
             continue
         frames.append([expand(child_rs), 0, child_rs])
 
 
-def _replay_prefix(
-    graph: Graph, rs0: RetainedSymmetries, prefix: Sequence[int], use_prune: bool
-) -> SearchNode:
-    partial = PartialTrace.initial(graph)
-    rs = rs0
-    for v in prefix[2:]:
-        partial.push(v)
-        if use_prune:
-            rs = prune(rs, partial)
-            if rs.smaller_witness is not None:
-                raise AssertionError("replayed prefix was pruned")
-    return SearchNode(partial, rs)
+def extend_feasibly(
+    partial: PartialTrace, retained: RetainedSymmetries, search: _Search, depth: int
+) -> list[tuple[int, ...]]:
+    """The prefixes of length `depth` that the search under `partial` enters.
+
+    They come in search order, and each has passed every check the full
+    search applies on the way down: feasibility, the kind lookahead,
+    canonical extension and `prune`.  `depth` must be shorter than a
+    full trace.
+    """
+    out: list[tuple[int, ...]] = []
+    _descend(partial, retained, search, depth, out)
+    return out
 
 
 def _enumerate_subtrees(
-    graph: Graph,
-    config: EnumerationConfig,
-    prefixes: list[tuple[int, ...]],
-    use_prune: bool,
-    use_canonical_extension: bool,
-    use_kind_lookahead: bool,
+    search: _Search, prefixes: list[tuple[int, ...]]
 ) -> list[tuple[int, ...]]:
-    aut = automorphisms(graph)
-    length = 2 * graph.m
-    rs0 = RetainedSymmetries.initial(aut, length)
-    if not use_prune:
-        rs0 = rs0.unmaintained()
-    stack = [_replay_prefix(graph, rs0, prefix, use_prune) for prefix in prefixes]
-    return _run_stack(
-        stack,
-        graph,
-        config,
-        aut,
-        length,
-        use_prune,
-        use_canonical_extension,
-        use_kind_lookahead,
-    )
+    """Replay each frontier prefix from the root and search it to full length."""
+    out: list[tuple[int, ...]] = []
+    for prefix in prefixes:
+        partial, rs = search.root()
+        for v in prefix[len(partial) :]:
+            partial.push(v)
+            if search.use_prune:
+                rs = prune(rs, partial)
+                if rs.smaller_witness is not None:
+                    raise AssertionError("replayed prefix was pruned")
+        _descend(partial, rs, search, search.length, out)
+    return out
 
 
 def enumerate_traces(
@@ -652,7 +600,9 @@ def enumerate_traces(
     adjacent).  Every returned trace starts with 0, 1 and passes the full
     double-trace, kind, orientation and canonicity predicates.  The three
     `use_*` switches disable individual search accelerations; each leaves
-    the result unchanged and exists for testing and diagnostics.
+    the result unchanged and exists for testing and diagnostics.  With
+    `jobs > 1` the subtrees below one frontier of the same search are
+    dealt out to that many worker processes.
     """
     if config is None:
         config = EnumerationConfig()
@@ -663,91 +613,48 @@ def enumerate_traces(
         )
     if aut is None:
         aut = automorphisms(graph)
-    length = 2 * graph.m
-    rs0 = RetainedSymmetries.initial(aut, length)
-    if not use_prune:
-        rs0 = rs0.unmaintained()
-    root = SearchNode(PartialTrace.initial(graph), rs0)
-    if jobs > 1:
-        return _enumerate_parallel(
-            graph,
-            config,
-            aut,
-            root,
-            jobs,
-            use_prune,
-            use_canonical_extension,
-            use_kind_lookahead,
-        )
-    out = _run_stack(
-        [root],
+    search = _Search(
         graph,
         config,
         aut,
-        length,
+        2 * graph.m,
+        _kind_bound(graph, config) if use_kind_lookahead else 0,
         use_prune,
         use_canonical_extension,
-        use_kind_lookahead,
     )
+    partial, rs0 = search.root()
+    if jobs > 1:
+        return _enumerate_parallel(partial, rs0, search, jobs)
+    out: list[tuple[int, ...]] = []
+    _descend(partial, rs0, search, search.length, out)
     out.sort()
     return out
 
 
 def _enumerate_parallel(
-    graph: Graph,
-    config: EnumerationConfig,
-    aut: AutGroup,
-    root: SearchNode,
-    jobs: int,
-    use_prune: bool,
-    use_canonical_extension: bool,
-    use_kind_lookahead: bool,
+    partial: PartialTrace, rs0: RetainedSymmetries, search: _Search, jobs: int
 ) -> list[tuple[int, ...]]:
+    """Split the search at the shallowest frontier wide enough for `jobs`.
+
+    Frontier prefix i goes to worker i mod jobs.  A frontier that stays
+    narrower down to the last step before full length is split as it is;
+    an empty one means there is nothing to search.
+    """
     import multiprocessing
 
-    length = 2 * graph.m
-    # Expand breadth-first until there are enough disjoint subtrees.
-    frontier: list[SearchNode] = [root]
-    done: list[tuple[int, ...]] = []
-    while frontier and len(frontier) < 4 * jobs:
-        depths = [len(n.partial.seq) for n in frontier]
-        shallowest = depths.index(min(depths))
-        if min(depths) == length:
-            break
-        node = frontier.pop(shallowest)
-        if len(node.partial.seq) == length:
-            frontier.append(node)
-            continue
-        extend_feasibly(
-            node.partial,
-            node.retained,
-            frontier,
-            config,
-            use_prune=use_prune,
-            use_canonical_extension=use_canonical_extension,
-        )
-    stack: list[SearchNode] = []
-    for node in frontier:
-        if len(node.partial.seq) == length:
-            w = tuple(node.partial.seq)
-            if _accept(graph, w, config, aut):
-                done.append(w)
-        else:
-            stack.append(node)
-    buckets: list[list[tuple[int, ...]]] = [[] for _ in range(jobs)]
-    for i, node in enumerate(stack):
-        buckets[i % jobs].append(tuple(node.partial.seq))
-    args = [
-        (graph, config, bucket, use_prune, use_canonical_extension, use_kind_lookahead)
-        for bucket in buckets
-        if bucket
-    ]
+    prefixes = [tuple(partial.seq)]
+    depth = len(partial)
+    while 0 < len(prefixes) < FRONTIER_PER_JOB * jobs and depth + 1 < search.length:
+        depth += 1
+        prefixes = extend_feasibly(partial, rs0, search, depth)
+    args = [(search, prefixes[i::jobs]) for i in range(min(jobs, len(prefixes)))]
+    out: list[tuple[int, ...]] = []
     if args:
-        with multiprocessing.Pool(min(jobs, len(args))) as pool:
+        with multiprocessing.Pool(len(args)) as pool:
             for part in pool.starmap(_enumerate_subtrees, args):
-                done.extend(part)
-    done.sort()
-    return done
+                out.extend(part)
+    out.sort()
+    return out
 
 
 def admits_parallel_strong(graph: Graph) -> bool:
@@ -771,7 +678,7 @@ def admits_antiparallel_strong(graph: Graph, max_edges: int = 16) -> bool:
     from itertools import combinations
 
     if graph.m > max_edges:
-        raise ValueError(
+        raise SizeGuardError(
             f"antiparallel feasibility check refuses graphs with more than "
             f"{max_edges} edges (got {graph.m})"
         )

@@ -14,6 +14,10 @@ from collections import deque
 from typing import Iterable, Sequence
 
 
+class SizeGuardError(ValueError):
+    """Raised when a graph is too large for an exhaustive check to accept."""
+
+
 class DisconnectedGraphError(ValueError):
     """Raised when a graph is not connected.  Carries the components."""
 

@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .automorphism import AutGroup, SymmetryElement, automorphisms
-from .graph import Graph
+from .graph import Graph, SizeGuardError
 from .traces import EnumerationConfig
 
 ALL_STARTS_MAX_EDGES = 12
@@ -26,7 +26,7 @@ GUARD_ENV = "TRACE_ENUM_GUARD_OVERRIDE"
 SCOPES = ("simple_only", "all_starts")
 
 
-class OracleSizeError(ValueError):
+class OracleSizeError(SizeGuardError):
     """Raised when a graph exceeds the brute-force guards."""
 
 

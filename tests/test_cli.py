@@ -1,11 +1,16 @@
 import json
+import os
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from doubletrace import cli
+from doubletrace import SizeGuardError, cli
 from doubletrace.cli import EXIT_GUARD, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 K4_STRONG_LINES = [
     "0 1 2 0 1 3 0 2 3 1 2 3",
@@ -139,15 +144,6 @@ class TestEnumerate:
         assert code == EXIT_OK
         assert "# count: 1" in out
 
-    def test_sort_flags_accepted(self, capsys):
-        for flag in ("--sort", "--no-sort"):
-            code, out, _ = run(
-                capsys,
-                "enumerate", "--named", "tetrahedron", "--kind", "strong", flag,
-            )
-            assert code == EXIT_OK
-            assert body_lines(out) == K4_STRONG_LINES
-
     def test_jobs(self, capsys):
         code, out, _ = run(
             capsys,
@@ -199,6 +195,20 @@ class TestGuardExits:
         code, _, err = run(capsys, "orbits", "--named", "prism:5")
         assert code == EXIT_GUARD
         assert "refuses" in err
+
+    def test_exit_code_follows_the_error_type(self, capsys, monkeypatch):
+        def raise_(exc):
+            def fail(*args, **kwargs):
+                raise exc
+
+            return fail
+
+        argv = ("enumerate", "--named", "tetrahedron")
+        monkeypatch.setattr(cli, "enumerate_traces", raise_(SizeGuardError("too big")))
+        assert run(capsys, *argv)[0] == EXIT_GUARD
+        # The message alone does not make an error a size guard refusal.
+        monkeypatch.setattr(cli, "enumerate_traces", raise_(ValueError("refuses graphs")))
+        assert run(capsys, *argv)[0] == EXIT_INTERNAL
 
 
 class TestVerify:
@@ -320,21 +330,34 @@ class TestTables:
 
 
 class TestConsoleScript:
+    ARGS = ["enumerate", "--named", "tetrahedron", "--kind", "strong", "--count-only"]
+
     def test_installed_entry_point(self):
+        import tomllib
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+        )
         proc = subprocess.run(
             [sys.executable, "-m", "doubletrace.cli"],
             capture_output=True,
             text=True,
+            env=env,
         )
         # No subcommand: argparse usage error.
         assert proc.returncode == 2
-        proc = subprocess.run(
-            [
-                "doubletrace", "enumerate", "--named", "tetrahedron",
-                "--kind", "strong", "--count-only",
-            ],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0
-        assert "# count: 3" in proc.stdout
+        with open(ROOT / "pyproject.toml", "rb") as handle:
+            scripts = tomllib.load(handle)["project"]["scripts"]
+        assert scripts["doubletrace"] == "doubletrace.cli:main"
+        # Run the target as the generated console script does.
+        module, _, func = scripts["doubletrace"].partition(":")
+        script = f"import sys; from {module} import {func}; sys.exit({func}())"
+        commands = [[sys.executable, "-c", script, *self.ARGS]]
+        installed = shutil.which("doubletrace")
+        if installed is not None:
+            commands.append([installed, *self.ARGS])
+        for command in commands:
+            proc = subprocess.run(command, capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            assert "# count: 3" in proc.stdout

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from doubletrace import (
@@ -5,6 +7,7 @@ from doubletrace import (
     Graph,
     PartialTrace,
     RetainedSymmetries,
+    SizeGuardError,
     SymmetryElement,
     admits_antiparallel_strong,
     admits_d_stable,
@@ -12,17 +15,19 @@ from doubletrace import (
     apply_symmetry,
     automorphisms,
     canonical_extension,
+    canonical_orbit_representatives,
     enumerate_traces,
     feasible_neighbors,
     is_canonical,
     is_double_trace,
     named_graph,
+    normalize_base_edge,
     prune,
     satisfies_kind,
     satisfies_orientation,
     symmetry_elements,
 )
-from doubletrace.enumerator import SearchNode, extend_feasibly
+from doubletrace.enumerator import _kind_bound, _Search, extend_feasibly
 
 K4_STRONG = (0, 1, 2, 0, 1, 3, 0, 2, 3, 1, 2, 3)
 
@@ -34,6 +39,19 @@ def build_partial(graph, seq):
     for v in seq[2:]:
         pt.push(v)
     return pt
+
+
+def make_search(graph, config, *, use_prune=True):
+    """The search record enumerate_traces builds, with every acceleration on."""
+    return _Search(
+        graph,
+        config,
+        automorphisms(graph),
+        2 * graph.m,
+        _kind_bound(graph, config),
+        use_prune,
+        True,
+    )
 
 
 class TestPartialTrace:
@@ -52,8 +70,15 @@ class TestPartialTrace:
         # First-traversal directions.
         assert pt.edge_from[triangle.edge_id(1, 2)] == 1
         assert pt.edge_from[triangle.edge_id(0, 2)] == 2
-        # Moving 0 -> 1 -> 2 completed the pair {0, 2} at vertex 1.
-        assert pt.pairs[1] == [(0, 2)]
+        # Moving 0 -> 1 -> 2 completed the pair {0, 2} at vertex 1, and
+        # 1 -> 2 -> 0 the pair {1, 0} at vertex 2; the walk has not closed
+        # at vertex 0.
+        idx = triangle.nbr_index[1]
+        assert pt.tmask[1][idx[0]] == 1 << idx[2]
+        assert pt.tmask[1][idx[2]] == 1 << idx[0]
+        assert pt.pdeg[1] == [1, 1]
+        assert pt.pdeg[2] == [1, 1]
+        assert pt.pdeg[0] == [0, 0]
 
     def test_pop_restores_everything(self, k4):
         pt = build_partial(k4, (0, 1, 2, 0, 1))
@@ -62,7 +87,6 @@ class TestPartialTrace:
             list(pt.edge_count),
             list(pt.edge_from),
             list(pt.visits),
-            [list(x) for x in pt.pairs],
             [list(x) for x in pt.tmask],
             [list(x) for x in pt.pdeg],
         )
@@ -75,18 +99,9 @@ class TestPartialTrace:
             list(pt.edge_count),
             list(pt.edge_from),
             list(pt.visits),
-            [list(x) for x in pt.pairs],
             [list(x) for x in pt.tmask],
             [list(x) for x in pt.pdeg],
         )
-
-    def test_copy_is_independent(self, triangle):
-        pt = build_partial(triangle, (0, 1, 2))
-        other = pt.copy()
-        other.push(0)
-        assert pt.seq == [0, 1, 2]
-        assert other.seq == [0, 1, 2, 0]
-        assert pt.visits != other.visits
 
     def test_len(self, triangle):
         assert len(build_partial(triangle, (0, 1, 2))) == 3
@@ -258,32 +273,35 @@ class TestRetainedSymmetries:
 
 
 class TestExtendFeasibly:
-    def test_children_are_pushed(self, k4):
-        rs = RetainedSymmetries.initial(automorphisms(k4), 12)
-        root = SearchNode(PartialTrace.initial(k4), rs)
-        queue = []
-        extend_feasibly(root.partial, root.retained, queue, EnumerationConfig(kind="strong"))
-        assert [tuple(n.partial.seq) for n in queue] == [(0, 1, 0), (0, 1, 2)]
+    def test_frontier_in_search_order(self, k4):
+        search = make_search(k4, EnumerationConfig(kind="strong"))
+        pt, rs = search.root()
+        # The kind lookahead cuts 0,1,0: pairing 0 with itself at vertex 1
+        # fills both pair slots of 0 there, leaving {0} a repetition.
+        assert extend_feasibly(pt, rs, search, 3) == [(0, 1, 2)]
+        assert extend_feasibly(pt, rs, search, 4) == [(0, 1, 2, 0), (0, 1, 2, 3)]
+        frontier = extend_feasibly(pt, rs, search, 6)
+        assert frontier == sorted(frontier)
+        assert pt.seq == [0, 1]
+        # The frontier covers the output.
+        traces = enumerate_traces(k4, EnumerationConfig(kind="strong"))
+        assert {w[:6] for w in traces} <= set(frontier)
 
     def test_pruned_children_are_dropped(self, triangle):
         # From 0,1,2 the only extensions are 0 and 1, and 0,1,2,1 is
         # killed by its reversal witness.
-        rs = RetainedSymmetries.initial(automorphisms(triangle), 6)
-        pt = PartialTrace.initial(triangle)
+        search = make_search(triangle, EnumerationConfig())
+        pt, rs = search.root()
         pt.push(2)
         rs = prune(rs, pt)
-        queue = []
-        extend_feasibly(pt, rs, queue, EnumerationConfig())
-        assert [tuple(n.partial.seq) for n in queue] == [(0, 1, 2, 0)]
+        assert extend_feasibly(pt, rs, search, 4) == [(0, 1, 2, 0)]
+        assert pt.seq == [0, 1, 2]
 
-    def test_prune_disabled_keeps_retained(self, k4):
-        rs = RetainedSymmetries.initial(automorphisms(k4), 12).unmaintained()
-        root = SearchNode(PartialTrace.initial(k4), rs)
-        queue = []
-        extend_feasibly(
-            root.partial, root.retained, queue, EnumerationConfig(), use_prune=False
-        )
-        assert queue and all(n.retained is rs for n in queue)
+    def test_prune_disabled_keeps_them(self, triangle):
+        search = make_search(triangle, EnumerationConfig(), use_prune=False)
+        pt, rs = search.root()
+        pt.push(2)
+        assert extend_feasibly(pt, rs, search, 4) == [(0, 1, 2, 0), (0, 1, 2, 1)]
 
 
 TRIANGLE_EXPECTED = {
@@ -370,6 +388,45 @@ class TestEnumerateTraces:
         assert enumerate_traces(k4, aut=aut) == enumerate_traces(k4)
 
 
+def random_graphs(seed, count):
+    """Connected graphs with 6 <= m <= 10, minimum degree 2 and at most
+    four independent cycles (more make the oracle too slow), base edge
+    normalized."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        m = rng.randint(6, 10)
+        n = rng.randint(max(m - 3, 5), m)
+        labels = list(range(n))
+        rng.shuffle(labels)
+        # A random spanning tree, then random chords.
+        edges = {
+            tuple(sorted((labels[v], labels[rng.randrange(v)]))) for v in range(1, n)
+        }
+        while len(edges) < m:
+            u, v = rng.sample(range(n), 2)
+            edges.add((min(u, v), max(u, v)))
+        graph = Graph(n, sorted(edges))
+        if graph.min_degree() >= 2:
+            out.append(normalize_base_edge(graph)[0])
+    return out
+
+
+ALL_CONFIGS = [
+    EnumerationConfig(kind=kind, d=d, orientation=orientation)
+    for kind, d in (("any", None), ("strong", None), ("stable", 1), ("stable", 2))
+    for orientation in ("any", "parallel", "antiparallel")
+]
+
+
+@pytest.mark.parametrize("graph", random_graphs(3, 6))
+def test_random_graphs_serial_and_parallel_match_oracle(graph):
+    for cfg in ALL_CONFIGS:
+        expected = canonical_orbit_representatives(graph, cfg)
+        assert enumerate_traces(graph, cfg) == expected, cfg.describe()
+        assert enumerate_traces(graph, cfg, jobs=2) == expected, cfg.describe()
+
+
 class TestFeasibilityPredicates:
     def test_parallel_strong_needs_even_degrees(self):
         assert admits_parallel_strong(named_graph("octahedron"))
@@ -405,7 +462,7 @@ class TestFeasibilityPredicates:
         assert not admits_antiparallel_strong(triangle)
 
     def test_antiparallel_size_guard(self):
-        with pytest.raises(ValueError, match="refuses"):
+        with pytest.raises(SizeGuardError, match="refuses"):
             admits_antiparallel_strong(named_graph("prism", 7))
         # An explicit larger budget lifts the refusal.
         assert admits_antiparallel_strong(named_graph("prism", 7), max_edges=21)

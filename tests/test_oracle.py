@@ -6,6 +6,7 @@ from doubletrace import (
     EnumerationConfig,
     Graph,
     OracleSizeError,
+    SizeGuardError,
     SymmetryElement,
     automorphisms,
     brute_enumerate,
@@ -118,6 +119,7 @@ class TestGuards:
             brute_enumerate(named_graph("prism", 6))
 
     def test_size_error_is_value_error(self):
+        assert issubclass(OracleSizeError, SizeGuardError)
         assert issubclass(OracleSizeError, ValueError)
 
 
