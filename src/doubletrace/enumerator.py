@@ -5,8 +5,9 @@ The search grows prefixes w_0 w_1 ... starting from the fixed base edge
 per symmetry orbit.  Three mechanisms cooperate:
 
 * `feasible_neighbors` extends a prefix only along edges with unused
-  capacity, respecting orientation constraints and rejecting extensions
-  that complete a forbidden repetition at the vertex just left behind.
+  capacity, respecting orientation constraints; `_kind_lookahead_ok`
+  then drops the extensions that complete a forbidden repetition at the
+  vertex just left behind.
 * `canonical_extension` keeps one smallest candidate per orbit of the
   prefix-fixing automorphisms, so symmetric subtrees are searched once.
 * `prune` tracks which symmetry elements are still undecided on the
@@ -19,8 +20,11 @@ per symmetry orbit.  Three mechanisms cooperate:
   handled by the final `is_canonical` check, which every emitted trace
   must pass together with the full kind and orientation predicates.
 
-Disabling `prune` and `canonical_extension` yields plain backtracking
-filtered by the final check; the output set is identical, only slower.
+Disabling the kind lookahead, `canonical_extension` and the `prune`
+cut yields plain backtracking filtered by the final check; the output
+set is identical, only slower.  `prune` itself always runs, since it
+keeps the relabel stabiliser that `canonical_extension` reads; with
+`use_prune=False` its witnesses just cut nothing.
 
 One loop, `_descend`, runs the search, in place on a single
 `PartialTrace`.  The parallel path (`jobs > 1`) uses it twice: first
@@ -159,46 +163,19 @@ def _kind_bound(graph: Graph, config: EnumerationConfig) -> int:
     return 0
 
 
-def _split_ok(masks: list[int], full: int, bound: int) -> bool:
-    """Check a completed transition structure against the bound.
-
-    `masks[i]` is the bitmask of neighbour indices paired with index i,
-    `full` covers the whole neighbourhood.  A connected structure always
-    passes; a split one passes only if every component is larger than the
-    bound.
-    """
-    remaining = full
-    while remaining:
-        low = remaining & -remaining
-        comp = low
-        frontier = low
-        while frontier:
-            lb = frontier & -frontier
-            frontier ^= lb
-            new = masks[lb.bit_length() - 1] & ~comp
-            comp |= new
-            frontier |= new
-        if comp == full:
-            return True
-        if comp.bit_count() <= bound:
-            return False
-        remaining &= ~comp
-    return True
-
-
 def _kind_lookahead_ok(partial: PartialTrace, v: int, bound: int) -> bool:
-    """Early rejection of extensions that doom the vertex being left.
+    """The in-search kind check: False if stepping to v dooms the vertex left.
 
     Stepping to v completes the pair {w_{p-2}, v} at u = w_{p-1}.  If the
     transition component containing that pair has every pair slot filled,
     later visits can never connect it to the rest of the neighbourhood,
     so it survives as a component of the final structure.  When it is
     also a proper subset of size <= bound, every completion has a
-    forbidden repetition at u and the branch is dead.  This anticipates
-    the saturation check in `feasible_neighbors` (and extends it to the
-    start vertex): the closing pairs at w_0 and at the final vertex are
-    the only ones it cannot see, and those are covered by the full
-    predicates at acceptance time.
+    forbidden repetition at u and the branch is dead.  Every component
+    is saturated by its last pair, so each one is checked exactly when
+    it becomes final, at the start vertex too.  The closing pairs at w_0
+    and at the final vertex are the only ones it cannot see; the full
+    predicates cover them at acceptance time.
     """
     graph = partial.graph
     seq = partial.seq
@@ -232,10 +209,10 @@ def _kind_lookahead_ok(partial: PartialTrace, v: int, bound: int) -> bool:
 def feasible_neighbors(partial: PartialTrace, config: EnumerationConfig) -> list[int]:
     """Vertices that may extend the prefix by one step.
 
-    Enforces edge capacity, orientation consistency on second traversals,
-    completion of the transition structure at the vertex just left (the
-    moment all its visits are present), and, one step before full length,
-    availability and consistency of the closing edge back to vertex 0.
+    Enforces edge capacity, orientation consistency on second traversals
+    and, one step before full length, availability and consistency of the
+    closing edge back to vertex 0.  The kind is not checked here; that is
+    `_kind_lookahead_ok`'s job.
     """
     graph = partial.graph
     seq = partial.seq
@@ -247,22 +224,14 @@ def feasible_neighbors(partial: PartialTrace, config: EnumerationConfig) -> list
     orientation = config.orientation
     any_dir = orientation == "any"
     parallel = orientation == "parallel"
-    bound = _kind_bound(graph, config)
-    adj_u = graph.adj[u]
-    check_u = bound > 0 and u != 0 and partial.visits[u] == len(adj_u)
     closing = p == length - 1
     edge_count = partial.edge_count
     edge_from = partial.edge_from
     eid_u = graph.eid_row[u]
-    if check_u:
-        idx_u = graph.nbr_index[u]
-        tmask_u = partial.tmask[u]
-        full_u = (1 << len(adj_u)) - 1
-        ip = idx_u[seq[-2]]
     if closing:
         eid_0 = graph.eid_row[0]
     out = []
-    for v in adj_u:
+    for v in graph.adj[u]:
         e = eid_u[v]
         c = edge_count[e]
         if c == 2:
@@ -272,13 +241,6 @@ def feasible_neighbors(partial: PartialTrace, config: EnumerationConfig) -> list
                 if edge_from[e] != u:
                     continue
             elif edge_from[e] != v:
-                continue
-        if check_u:
-            iv = idx_u[v]
-            masks = tmask_u[:]
-            masks[ip] |= 1 << iv
-            masks[iv] |= 1 << ip
-            if not _split_ok(masks, full_u, bound):
                 continue
         if closing:
             e2 = eid_0[v]
@@ -304,27 +266,23 @@ class RetainedSymmetries:
 
     The full retained set is huge but has a fixed shape: all rotations
     stay undecided until the walk closes, each reversal-plus-rotation is
-    decided exactly once on the way down, and the relabellings decided so
-    far reduce to the pointwise stabilizer of the prefix.  Only that
-    stabilizer is stored; `materialize` reconstructs the complete tagged
-    element set for inspection and tests.
+    decided exactly once on the way down (by `prune`, from `_to_zero`),
+    and the relabellings decided so far reduce to the pointwise
+    stabiliser of the prefix.  Only that stabiliser is stored, in
+    `relabels`; it always holds the identity.
     """
 
-    __slots__ = ("aut", "length", "relabels", "maintained", "smaller_witness", "_to_zero")
+    __slots__ = ("length", "relabels", "smaller_witness", "_to_zero")
 
     def __init__(
         self,
-        aut: AutGroup,
         length: int,
         relabels: tuple[tuple[int, ...], ...],
-        maintained: bool,
         smaller_witness: SymmetryElement | None,
         to_zero: dict[int, tuple[tuple[int, ...], ...]],
     ):
-        self.aut = aut
         self.length = length
         self.relabels = relabels
-        self.maintained = maintained
         self.smaller_witness = smaller_witness
         self._to_zero = to_zero
 
@@ -335,69 +293,14 @@ class RetainedSymmetries:
         for p in aut.elements:
             to_zero.setdefault(p.index(0), []).append(p)
         frozen = {v: tuple(ps) for v, ps in to_zero.items()}
-        return cls(aut, length, relabels, True, None, frozen)
-
-    def unmaintained(self) -> "RetainedSymmetries":
-        """Copy whose relabels are not guaranteed to fix deeper prefixes."""
-        return RetainedSymmetries(
-            self.aut, self.length, self.relabels, False, None, self._to_zero
-        )
-
-    def prefix_fixing_relabels(self, seq: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-        if self.maintained:
-            return self.relabels
-        return tuple(
-            p for p in self.relabels if all(p[w] == w for w in seq)
-        )
-
-    def materialize(self, seq: Sequence[int]) -> list[tuple[SymmetryElement, str]]:
-        """Reconstruct all retained elements for this prefix, with tags.
-
-        An element is decided on a prefix of length p when every source
-        index of its length-p image falls inside the prefix.  Decided
-        elements whose image differs from the prefix have been dropped;
-        decided elements fixing it are tagged "stabilizer", the rest
-        "undetermined".
-        """
-        p = len(seq)
-        length = self.length
-        if p == length:
-            # Everything is decided; exactly the stabilizer of seq survives.
-            from .automorphism import apply_symmetry, symmetry_elements
-
-            w = tuple(seq)
-            return [
-                (element, "stabilizer")
-                for element in symmetry_elements(self.aut, length)
-                if apply_symmetry(element, w) == w
-            ]
-        out: list[tuple[SymmetryElement, str]] = []
-        for perm in self.aut.elements:
-            # Pure relabellings are decided at every length.
-            if all(perm[w] == w for w in seq):
-                out.append((SymmetryElement(perm, 0, False), "stabilizer"))
-            # Rotations without reversal are decided only at full length.
-            for shift in range(1, length):
-                out.append((SymmetryElement(perm, shift, False), "undetermined"))
-            # A reversal with shift s is decided at prefix length 2m - s + 1.
-            for shift in range(length):
-                decided_at = length - shift + 1 if shift >= 2 else length
-                element = SymmetryElement(perm, shift, True)
-                if decided_at > p:
-                    out.append((element, "undetermined"))
-                    continue
-                q = decided_at
-                image = [perm[seq[q - 1 - j]] for j in range(q)]
-                if image == list(seq[:q]):
-                    out.append((element, "stabilizer"))
-        return out
+        return cls(length, relabels, None, frozen)
 
 
 def canonical_extension(
     partial: PartialTrace, candidates: Sequence[int], retained: RetainedSymmetries
 ) -> list[int]:
     """One smallest candidate per orbit of the prefix-fixing relabellings."""
-    relabels = retained.prefix_fixing_relabels(partial.seq)
+    relabels = retained.relabels
     if len(relabels) <= 1 or len(candidates) <= 1:
         return sorted(candidates)
     remaining = set(candidates)
@@ -414,27 +317,20 @@ def canonical_extension(
 def prune(retained: RetainedSymmetries, partial: PartialTrace) -> RetainedSymmetries:
     """Update retained symmetries after the last vertex of the prefix.
 
-    Narrows the relabel stabilizer and decides the one reversal alignment
-    whose image window just closed.  If any decided element maps the
-    prefix to a strictly smaller sequence it is recorded as
-    `smaller_witness`: the prefix cannot start a canonical trace.
+    Narrows the relabel stabiliser to the relabellings that fix the new
+    vertex and decides the one reversal alignment whose image window just
+    closed.  If any decided element maps the prefix to a strictly
+    smaller sequence it is recorded as `smaller_witness`: the prefix
+    cannot start a canonical trace.
     """
     seq = partial.seq
     p = len(seq)
     v = seq[-1]
     length = retained.length
-    relabels = retained.relabels
     to_zero = retained._to_zero.get(v)
-    if (
-        not relabels
-        and to_zero is None
-        and retained.maintained
-        and retained.smaller_witness is None
-    ):
-        return retained
     witness: SymmetryElement | None = None
     new_relabels = []
-    for perm in relabels:
+    for perm in retained.relabels:
         x = perm[v]
         if x == v:
             new_relabels.append(perm)
@@ -451,9 +347,7 @@ def prune(retained: RetainedSymmetries, partial: PartialTrace) -> RetainedSymmet
                     break
             if witness is not None:
                 break
-    return RetainedSymmetries(
-        retained.aut, length, tuple(new_relabels), True, witness, retained._to_zero
-    )
+    return RetainedSymmetries(length, tuple(new_relabels), witness, retained._to_zero)
 
 
 @dataclass(frozen=True)
@@ -471,10 +365,9 @@ class _Search:
 
     def root(self) -> tuple[PartialTrace, RetainedSymmetries]:
         """The base-edge prefix and the symmetries retained on it."""
-        rs = RetainedSymmetries.initial(self.aut, self.length)
-        if not self.use_prune:
-            rs = rs.unmaintained()
-        return PartialTrace.initial(self.graph), rs
+        return PartialTrace.initial(self.graph), RetainedSymmetries.initial(
+            self.aut, self.length
+        )
 
 
 def _accept(search: _Search, seq: tuple[int, ...]) -> bool:
@@ -536,13 +429,10 @@ def _descend(
             continue
         frame[1] = i + 1
         partial.push(cands[i])
-        if use_prune:
-            child_rs = prune(frame[2], partial)
-            if child_rs.smaller_witness is not None:
-                partial.pop()
-                continue
-        else:
-            child_rs = frame[2]
+        child_rs = prune(frame[2], partial)
+        if use_prune and child_rs.smaller_witness is not None:
+            partial.pop()
+            continue
         if len(seq) == stop:
             w = tuple(seq)
             if not leaf or _accept(search, w):
@@ -576,10 +466,9 @@ def _enumerate_subtrees(
         partial, rs = search.root()
         for v in prefix[len(partial) :]:
             partial.push(v)
-            if search.use_prune:
-                rs = prune(rs, partial)
-                if rs.smaller_witness is not None:
-                    raise AssertionError("replayed prefix was pruned")
+            rs = prune(rs, partial)
+            if search.use_prune and rs.smaller_witness is not None:
+                raise AssertionError("replayed prefix was pruned")
         _descend(partial, rs, search, search.length, out)
     return out
 

@@ -25,9 +25,13 @@ from doubletrace import (
     prune,
     satisfies_kind,
     satisfies_orientation,
-    symmetry_elements,
 )
-from doubletrace.enumerator import _kind_bound, _Search, extend_feasibly
+from doubletrace.enumerator import (
+    _kind_bound,
+    _kind_lookahead_ok,
+    _Search,
+    extend_feasibly,
+)
 
 K4_STRONG = (0, 1, 2, 0, 1, 3, 0, 2, 3, 1, 2, 3)
 
@@ -139,20 +143,27 @@ class TestFeasibleNeighbors:
         # Leaving vertex 1 for the third (= last) time completes its
         # transition structure.  The prefix below gives it the pairs
         # {0,2}, {0,3}; stepping 1 -> 2 adds {3,2}, which connects
-        # everything, so strong enumeration allows the step.
+        # everything, so the kind lookahead keeps the step.
         pt = build_partial(k4, (0, 1, 2, 0, 1, 3, 0, 2, 3, 1))
         assert feasible_neighbors(pt, EnumerationConfig(kind="strong")) == [2]
         assert feasible_neighbors(pt, EnumerationConfig()) == [2]
+        cfg = EnumerationConfig(kind="strong")
+        assert _kind_lookahead_ok(pt, 2, _kind_bound(k4, cfg))
 
     def test_completing_visit_rejects_split(self, triangle):
         # Leaving vertex 1 for the second (= last) time here closes its
         # transition structure with the pairs {0,0} and {2,2}: two
-        # singleton repetitions.  Strong enumeration must reject the step,
-        # and so must 1-stability (the repetitions have only one element).
+        # singleton repetitions.  `feasible_neighbors` checks no kind, so
+        # it allows the step for every kind; the kind lookahead rejects it
+        # for strong enumeration and for 1-stability (the repetitions have
+        # only one element).
         pt = build_partial(triangle, (0, 1, 0, 2, 1))
-        assert feasible_neighbors(pt, EnumerationConfig()) == [2]
-        assert feasible_neighbors(pt, EnumerationConfig(kind="strong")) == []
-        assert feasible_neighbors(pt, EnumerationConfig(kind="stable", d=1)) == []
+        strong = EnumerationConfig(kind="strong")
+        stable1 = EnumerationConfig(kind="stable", d=1)
+        for cfg in (EnumerationConfig(), strong, stable1):
+            assert feasible_neighbors(pt, cfg) == [2]
+        for cfg in (strong, stable1):
+            assert not _kind_lookahead_ok(pt, 2, _kind_bound(triangle, cfg))
 
     def test_last_steps_of_known_trace(self, k4):
         # The final two steps of a full strong trace stay feasible,
@@ -189,7 +200,7 @@ class TestCanonicalExtension:
         # After 0,1,2 no nontrivial automorphism fixes the prefix, so no
         # candidates collapse.
         pt = build_partial(k4, (0, 1, 2))
-        rs = RetainedSymmetries.initial(automorphisms(k4), 12).unmaintained()
+        rs = prune(RetainedSymmetries.initial(automorphisms(k4), 12), pt)
         assert canonical_extension(pt, [0, 1, 3], rs) == [0, 1, 3]
 
 
@@ -235,41 +246,25 @@ class TestRetainedSymmetries:
             rs = prune(rs, pt)
             assert rs.smaller_witness is None
 
-    def test_materialize_full_length_is_stabilizer(self, triangle):
-        aut = automorphisms(triangle)
-        rs = RetainedSymmetries.initial(aut, 6)
-        w = (0, 1, 0, 2, 1, 2)
-        got = rs.materialize(w)
-        assert all(tag == "stabilizer" for _, tag in got)
-        expected = {
-            g for g in symmetry_elements(aut, 6) if apply_symmetry(g, w) == w
-        }
-        assert {g for g, _ in got} == expected
-
-    def test_materialize_shrinks_along_prefix(self, k4):
-        aut = automorphisms(k4)
-        rs = RetainedSymmetries.initial(aut, 12)
-        pt = PartialTrace.initial(k4)
-        prev = {g for g, _ in rs.materialize(pt.seq)}
-        for v in (2, 0, 1, 3):
+    @pytest.mark.parametrize(
+        "fixture,prefix,witnessed",
+        [("k4", (0, 1, 2, 0, 1, 3), False), ("triangle", (0, 1, 2, 1), True)],
+        ids=["k4", "triangle-witnessed"],
+    )
+    def test_relabels_are_the_prefix_stabilizer(self, request, fixture, prefix, witnessed):
+        # After every prune the stored relabellings are exactly the
+        # automorphisms fixing each prefix vertex, also on the triangle
+        # prefix 0,1,2,1, where prune finds a witness.
+        graph = request.getfixturevalue(fixture)
+        aut = automorphisms(graph)
+        rs = RetainedSymmetries.initial(aut, 2 * graph.m)
+        pt = PartialTrace.initial(graph)
+        for v in prefix[2:]:
             pt.push(v)
             rs = prune(rs, pt)
-            assert rs.smaller_witness is None
-            tagged = rs.materialize(pt.seq)
-            cur = {g for g, _ in tagged}
-            assert cur <= prev
-            prev = cur
-            # The compact relabel stabilizer agrees with the tagged view.
-            pure = {
-                g.perm
-                for g, tag in tagged
-                if tag == "stabilizer" and g.shift == 0 and not g.reverse
-            }
-            assert pure == set(rs.relabels)
-
-    def test_unmaintained_refilters(self, k4):
-        rs = RetainedSymmetries.initial(automorphisms(k4), 12).unmaintained()
-        assert rs.prefix_fixing_relabels((0, 1, 2)) == ((0, 1, 2, 3),)
+            expected = {p for p in aut.elements if all(p[w] == w for w in pt.seq)}
+            assert set(rs.relabels) == expected
+        assert (rs.smaller_witness is not None) == witnessed
 
 
 class TestExtendFeasibly:
@@ -302,6 +297,45 @@ class TestExtendFeasibly:
         pt, rs = search.root()
         pt.push(2)
         assert extend_feasibly(pt, rs, search, 4) == [(0, 1, 2, 0), (0, 1, 2, 1)]
+
+
+# Frontier sizes at depths 3 .. 2m - 1 of the full search (every
+# acceleration on).  A change to any cut that alters the search tree
+# shows up here.
+SEARCH_TREE_WIDTHS = [
+    ("tetrahedron", None, EnumerationConfig(kind="strong"), [1, 2, 3, 4, 5, 6, 6, 9, 5]),
+    (
+        "prism",
+        3,
+        EnumerationConfig(kind="strong"),
+        [2, 4, 6, 10, 14, 24, 33, 47, 56, 72, 71, 91, 87, 90, 61],
+    ),
+    (
+        "prism",
+        3,
+        EnumerationConfig(kind="stable", d=1, orientation="antiparallel"),
+        [2, 4, 5, 8, 10, 13, 14, 17, 20, 26, 27, 28, 19, 16, 8],
+    ),
+    (
+        "pyramid",
+        4,
+        EnumerationConfig(kind="stable", d=2),
+        [2, 5, 10, 15, 31, 44, 68, 102, 149, 187, 238, 268, 222],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "name,k,cfg,widths",
+    SEARCH_TREE_WIDTHS,
+    ids=["tetrahedron-strong", "prism3-strong", "prism3-stable1-antiparallel", "pyramid4-stable2"],
+)
+def test_search_tree_widths_are_pinned(name, k, cfg, widths):
+    graph = named_graph(name, k)
+    search = make_search(graph, cfg)
+    pt, rs = search.root()
+    got = [len(extend_feasibly(pt, rs, search, d)) for d in range(3, 2 * graph.m)]
+    assert got == widths
 
 
 TRIANGLE_EXPECTED = {
