@@ -136,6 +136,11 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _check_jobs(args: argparse.Namespace) -> None:
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
+
+
 def _report_lines(loaded: LoadedGraph, extra: dict) -> list[str]:
     graph = loaded.graph
     lines = [
@@ -166,6 +171,7 @@ def _feasibility_note(graph: Graph, config: EnumerationConfig, count: int) -> st
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    _check_jobs(args)
     loaded = _load_graph(args)
     config = _config_from(args)
     graph = loaded.graph
@@ -227,6 +233,8 @@ def _parse_kinds(spec: str) -> list[tuple[str, int | None]]:
         if name == "stable":
             if not num:
                 raise UsageError("stable kind in --kinds needs an order, e.g. stable:2")
+            if not num.isdecimal() or int(num) < 1:
+                raise UsageError(f"order in {token!r} must be a positive integer")
             out.append((name, int(num)))
         elif name in ("any", "strong"):
             if num:
@@ -307,6 +315,7 @@ _TABLE_ROWS: list[tuple[str, str, int, str, int, bool]] = [
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
+    _check_jobs(args)
     failures = 0
     for table, spec, strong_expected, orientation, oriented_expected, slow in _TABLE_ROWS:
         if slow and not args.include_slow:

@@ -17,14 +17,20 @@ per symmetry orbit.  Three mechanisms cooperate:
   prefix length p.  A decided element that maps the prefix to something
   strictly smaller is a witness that no completion can be canonical, so
   the branch dies.  Rotations stay undecided until the very end and are
-  handled by the final `is_canonical` check, which every emitted trace
-  must pass together with the full kind and orientation predicates.
+  handled by the final `is_canonical` check.
 
-Disabling the kind lookahead, `canonical_extension` and the `prune`
-cut yields plain backtracking filtered by the final check; the output
-set is identical, only slower.  `prune` itself always runs, since it
-keeps the relabel stabiliser that `canonical_extension` reads; with
-`use_prune=False` its witnesses just cut nothing.
+A prefix of full length 2m is a leaf.  Closing it is one more step,
+from w_{2m-1} back to w_0 = 0, and `_accept` checks only what that
+step adds: the closing edge's capacity and direction, by the same
+`feasible_neighbors` rule as every other step; the two transition pairs
+it completes, at w_{2m-1} and at w_0, by the same kind lookahead; and
+canonicity.  Every other step was checked on the way down, so each
+accepted leaf is a double trace of the requested kind and orientation.
+
+Disabling `canonical_extension` and the `prune` cut yields a plainer
+search with the same output, only slower.  `prune` itself always runs,
+since it keeps the relabel stabiliser that `canonical_extension` reads;
+with `use_prune=False` its witnesses just cut nothing.
 
 One loop, `_descend`, runs the search, in place on a single
 `PartialTrace`.  The parallel path (`jobs > 1`) uses it twice: first
@@ -43,13 +49,10 @@ from typing import Sequence
 
 from .automorphism import AutGroup, SymmetryElement, automorphisms
 from .graph import Graph, SizeGuardError
-from .traces import (
-    EnumerationConfig,
-    is_canonical,
-    is_double_trace,
-    satisfies_kind,
-    satisfies_orientation,
-)
+from .traces import EnumerationConfig, is_canonical
+
+# Not called here: perfbench/tracing.py wraps these names on this module.
+from .traces import is_double_trace, satisfies_kind, satisfies_orientation  # noqa: F401
 
 # `_enumerate_parallel` splits at the shallowest frontier with at least
 # this many prefixes per worker, so that one heavy subtree does not
@@ -173,9 +176,9 @@ def _kind_lookahead_ok(partial: PartialTrace, v: int, bound: int) -> bool:
     also a proper subset of size <= bound, every completion has a
     forbidden repetition at u and the branch is dead.  Every component
     is saturated by its last pair, so each one is checked exactly when
-    it becomes final, at the start vertex too.  The closing pairs at w_0
-    and at the final vertex are the only ones it cannot see; the full
-    predicates cover them at acceptance time.
+    it becomes final, at the start vertex too.  The two pairs that only
+    the closing step completes, at w_{2m-1} and at w_0, are checked the
+    same way by `_accept`.
     """
     graph = partial.graph
     seq = partial.seq
@@ -209,27 +212,19 @@ def _kind_lookahead_ok(partial: PartialTrace, v: int, bound: int) -> bool:
 def feasible_neighbors(partial: PartialTrace, config: EnumerationConfig) -> list[int]:
     """Vertices that may extend the prefix by one step.
 
-    Enforces edge capacity, orientation consistency on second traversals
-    and, one step before full length, availability and consistency of the
-    closing edge back to vertex 0.  The kind is not checked here; that is
-    `_kind_lookahead_ok`'s job.
+    Enforces edge capacity and orientation consistency on second
+    traversals.  At full length the only edge left with capacity leads
+    back to vertex 0, so this also decides the closing step.  The kind
+    is not checked here; that is `_kind_lookahead_ok`'s job.
     """
     graph = partial.graph
-    seq = partial.seq
-    u = seq[-1]
-    p = len(seq)
-    length = 2 * graph.m
-    if p >= length:
-        return []
+    u = partial.seq[-1]
     orientation = config.orientation
     any_dir = orientation == "any"
     parallel = orientation == "parallel"
-    closing = p == length - 1
     edge_count = partial.edge_count
     edge_from = partial.edge_from
     eid_u = graph.eid_row[u]
-    if closing:
-        eid_0 = graph.eid_row[0]
     out = []
     for v in graph.adj[u]:
         e = eid_u[v]
@@ -242,21 +237,6 @@ def feasible_neighbors(partial: PartialTrace, config: EnumerationConfig) -> list
                     continue
             elif edge_from[e] != v:
                 continue
-        if closing:
-            e2 = eid_0[v]
-            if e2 < 0:
-                continue
-            c2 = edge_count[e2] + (1 if e2 == e else 0)
-            if c2 != 1:
-                continue
-            if not any_dir:
-                first_from = u if (e2 == e and edge_count[e2] == 0) else edge_from[e2]
-                # The closing traversal runs v -> 0.
-                if parallel:
-                    if first_from != v:
-                        continue
-                elif first_from != 0:
-                    continue
         out.append(v)
     return out
 
@@ -358,8 +338,8 @@ class _Search:
     config: EnumerationConfig
     aut: AutGroup
     length: int
-    # Kind bound for `_kind_lookahead_ok`; 0 switches the lookahead off.
-    lookahead_bound: int
+    # `_kind_bound` of the config; 0 (kind any) means no kind check.
+    kind_bound: int
     use_prune: bool
     use_canonical_extension: bool
 
@@ -370,15 +350,26 @@ class _Search:
         )
 
 
-def _accept(search: _Search, seq: tuple[int, ...]) -> bool:
-    graph = search.graph
-    config = search.config
-    return (
-        is_double_trace(graph, seq)
-        and satisfies_kind(graph, seq, config)
-        and satisfies_orientation(graph, seq, config)
-        and is_canonical(graph, seq, search.aut)
-    )
+def _accept(search: _Search, partial: PartialTrace) -> bool:
+    """Whether a full-length prefix closes into a trace to emit.
+
+    The closing step back to w_0 = 0 must be feasible, the two pairs it
+    completes must pass the kind lookahead (the pair at w_{2m-1} is the
+    step to 0; the pair at w_0 is the step from 0 on to w_1 = 1), and
+    the trace must be canonical.
+    """
+    if 0 not in feasible_neighbors(partial, search.config):
+        return False
+    bound = search.kind_bound
+    if bound:
+        if not _kind_lookahead_ok(partial, 0, bound):
+            return False
+        partial.push(0)
+        ok = _kind_lookahead_ok(partial, 1, bound)
+        partial.pop()
+        if not ok:
+            return False
+    return is_canonical(search.graph, partial.seq, search.aut)
 
 
 def _descend(
@@ -392,14 +383,15 @@ def _descend(
 
     At full length a prefix is a leaf and goes to `out` if `_accept`
     takes it.  At a shorter stop the prefix itself goes to `out` and the
-    search backtracks.  Children are explored by push/pop on a single
-    PartialTrace rather than by copying; each stack frame keeps the
-    candidate list for its prefix and the symmetries retained there.
-    The prefix is restored on return.
+    search backtracks.  Candidates are tried in increasing order, so
+    `out` grows in lexicographic order.  Children are explored by
+    push/pop on a single PartialTrace rather than by copying; each stack
+    frame keeps the candidate list for its prefix and the symmetries
+    retained there.  The prefix is restored on return.
     """
     seq = partial.seq
     config = search.config
-    bound = search.lookahead_bound
+    bound = search.kind_bound
     use_prune = search.use_prune
     use_canonical_extension = search.use_canonical_extension
     leaf = stop == search.length
@@ -413,9 +405,8 @@ def _descend(
         return cands
 
     if len(seq) == stop:
-        w = tuple(seq)
-        if not leaf or _accept(search, w):
-            out.append(w)
+        if not leaf or _accept(search, partial):
+            out.append(tuple(seq))
         return
     frames: list[list] = [[expand(retained), 0, retained]]
     while frames:
@@ -434,9 +425,8 @@ def _descend(
             partial.pop()
             continue
         if len(seq) == stop:
-            w = tuple(seq)
-            if not leaf or _accept(search, w):
-                out.append(w)
+            if not leaf or _accept(search, partial):
+                out.append(tuple(seq))
             partial.pop()
             continue
         frames.append([expand(child_rs), 0, child_rs])
@@ -479,7 +469,6 @@ def enumerate_traces(
     *,
     use_prune: bool = True,
     use_canonical_extension: bool = True,
-    use_kind_lookahead: bool = True,
     jobs: int = 1,
     aut: AutGroup | None = None,
 ) -> list[tuple[int, ...]]:
@@ -487,7 +476,7 @@ def enumerate_traces(
 
     The graph must have its base edge normalized (vertices 0 and 1
     adjacent).  Every returned trace starts with 0, 1 and passes the full
-    double-trace, kind, orientation and canonicity predicates.  The three
+    double-trace, kind, orientation and canonicity predicates.  The two
     `use_*` switches disable individual search accelerations; each leaves
     the result unchanged and exists for testing and diagnostics.  With
     `jobs > 1` the subtrees below one frontier of the same search are
@@ -507,7 +496,7 @@ def enumerate_traces(
         config,
         aut,
         2 * graph.m,
-        _kind_bound(graph, config) if use_kind_lookahead else 0,
+        _kind_bound(graph, config),
         use_prune,
         use_canonical_extension,
     )
@@ -516,7 +505,6 @@ def enumerate_traces(
         return _enumerate_parallel(partial, rs0, search, jobs)
     out: list[tuple[int, ...]] = []
     _descend(partial, rs0, search, search.length, out)
-    out.sort()
     return out
 
 

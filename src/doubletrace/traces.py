@@ -26,8 +26,6 @@ from .graph import Graph
 KINDS = ("any", "strong", "stable")
 ORIENTATIONS = ("any", "parallel", "antiparallel")
 
-LESS, EQUAL, GREATER = -1, 0, 1
-
 
 @dataclass(frozen=True)
 class EnumerationConfig:
@@ -179,16 +177,6 @@ def satisfies_orientation(graph: Graph, seq: Sequence[int], config: EnumerationC
     return orientation_class(graph, seq)[0] == config.orientation
 
 
-def lex_compare(a: Sequence[int], b: Sequence[int]) -> int:
-    """Position-wise comparison; returns LESS (-1), EQUAL (0) or GREATER (1)."""
-    if len(a) != len(b):
-        raise ValueError(f"cannot compare walks of lengths {len(a)} and {len(b)}")
-    for x, y in zip(a, b):
-        if x != y:
-            return LESS if x < y else GREATER
-    return EQUAL
-
-
 def is_canonical(graph: Graph, seq: Sequence[int], aut: AutGroup | None = None) -> bool:
     """True iff seq is lexicographically minimal in its symmetry orbit.
 
@@ -231,26 +219,6 @@ def is_canonical(graph: Graph, seq: Sequence[int], aut: AutGroup | None = None) 
                         return False
                     break
     return True
-
-
-def init_segment(graph: Graph, seq: Sequence[int]) -> tuple[int, ...]:
-    """Shortest prefix of seq containing every vertex of the graph."""
-    missing = graph.n
-    seen = [False] * graph.n
-    for i, v in enumerate(seq):
-        if not seen[v]:
-            seen[v] = True
-            missing -= 1
-            if missing == 0:
-                return tuple(seq[: i + 1])
-    raise ValueError("walk does not visit every vertex")
-
-
-def i_initial(seq: Sequence[int], i: int) -> tuple[int, ...]:
-    """The prefix w_0 ... w_{i-1}."""
-    if not 1 <= i <= len(seq):
-        raise ValueError(f"prefix length {i} out of range for walk length {len(seq)}")
-    return tuple(seq[:i])
 
 
 def format_trace(seq: Sequence[int]) -> str:

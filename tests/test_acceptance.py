@@ -245,13 +245,7 @@ def _accelerations_do_not_change_output():
         for cfg in (EnumerationConfig(), EnumerationConfig(kind="strong")):
             reference = enumerate_traces(graph, cfg)
             assert (
-                enumerate_traces(
-                    graph,
-                    cfg,
-                    use_prune=False,
-                    use_canonical_extension=False,
-                    use_kind_lookahead=False,
-                )
+                enumerate_traces(graph, cfg, use_prune=False, use_canonical_extension=False)
                 == reference
             )
             assert enumerate_traces(graph, cfg, use_prune=False) == reference

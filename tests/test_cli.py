@@ -167,6 +167,13 @@ class TestUsageErrors:
             ("verify", "--graph6", "Bw", "--kinds", "sturdy"),
             ("verify", "--graph6", "Bw", "--kinds", "stable"),
             ("verify", "--graph6", "Bw", "--orientations", "sideways"),
+            ("verify", "--graph6", "Bw", "--kinds", "stable:x"),
+            ("verify", "--graph6", "Bw", "--kinds", "stable:0"),
+            # Rejected before any worker process starts.
+            ("enumerate", "--named", "tetrahedron", "--jobs", "0"),
+            ("enumerate", "--named", "tetrahedron", "--jobs", "-2"),
+            ("tables", "--jobs", "0"),
+            ("tables", "--jobs", "-2"),
         ],
     )
     def test_exit_code_two(self, capsys, argv):

@@ -166,16 +166,22 @@ class TestFeasibleNeighbors:
             assert not _kind_lookahead_ok(pt, 2, _kind_bound(triangle, cfg))
 
     def test_last_steps_of_known_trace(self, k4):
-        # The final two steps of a full strong trace stay feasible,
-        # including the capacity of the closing edge back to vertex 0.
+        # The final two steps of a full strong trace stay feasible; the
+        # closing step back to vertex 0 is decided at the leaf.
         pt = build_partial(k4, K4_STRONG[:10])
         assert feasible_neighbors(pt, EnumerationConfig(kind="strong")) == [2]
         pt.push(2)
         assert feasible_neighbors(pt, EnumerationConfig(kind="strong")) == [3]
 
-    def test_full_length_returns_empty(self, triangle):
+    def test_full_length_offers_only_the_closing_step(self, triangle):
+        # At full length the one edge left with capacity leads back to
+        # vertex 0.  Here it is {0,2}, first taken 0 -> 2, so closing
+        # 2 -> 0 is allowed for orientation any and antiparallel, and
+        # forbidden for parallel.
         pt = build_partial(triangle, (0, 1, 0, 2, 1, 2))
-        assert feasible_neighbors(pt, EnumerationConfig()) == []
+        assert feasible_neighbors(pt, EnumerationConfig()) == [0]
+        assert feasible_neighbors(pt, EnumerationConfig(orientation="antiparallel")) == [0]
+        assert feasible_neighbors(pt, EnumerationConfig(orientation="parallel")) == []
 
 
 class TestCanonicalExtension:
@@ -362,6 +368,8 @@ class TestEnumerateTraces:
         assert enumerate_traces(g) == [(0, 1)]
         assert enumerate_traces(g, EnumerationConfig(kind="strong")) == [(0, 1)]
         assert enumerate_traces(g, EnumerationConfig(orientation="parallel")) == []
+        assert enumerate_traces(g, EnumerationConfig(orientation="antiparallel")) == [(0, 1)]
+        assert enumerate_traces(g, EnumerationConfig(kind="stable", d=1)) == [(0, 1)]
 
     def test_output_sorted_unique_and_rooted(self, k4):
         out = enumerate_traces(k4)
@@ -393,12 +401,7 @@ class TestEnumerateTraces:
         [
             {"use_prune": False},
             {"use_canonical_extension": False},
-            {"use_kind_lookahead": False},
-            {
-                "use_prune": False,
-                "use_canonical_extension": False,
-                "use_kind_lookahead": False,
-            },
+            {"use_prune": False, "use_canonical_extension": False},
         ],
     )
     def test_disabling_accelerations_keeps_output(self, flags):

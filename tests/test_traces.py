@@ -5,13 +5,10 @@ from doubletrace import (
     Graph,
     automorphisms,
     format_trace,
-    i_initial,
-    init_segment,
     is_canonical,
     is_d_stable,
     is_double_trace,
     is_strong,
-    lex_compare,
     named_graph,
     orientation_class,
     parse_trace,
@@ -187,17 +184,6 @@ class TestOrientation:
         assert orientation_class(triangle, rev)[0] == "parallel"
 
 
-class TestLexCompare:
-    def test_orders(self):
-        assert lex_compare((0, 1, 2), (0, 2, 1)) == -1
-        assert lex_compare((0, 2, 1), (0, 1, 2)) == 1
-        assert lex_compare((0, 1, 2), (0, 1, 2)) == 0
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            lex_compare((0, 1), (0, 1, 2))
-
-
 class TestIsCanonical:
     def test_triangle_canonicals(self, triangle):
         assert is_canonical(triangle, T_WEAK)
@@ -247,25 +233,6 @@ class TestIsCanonical:
 
 
 class TestSegments:
-    def test_init_segment(self, triangle):
-        assert init_segment(triangle, T_STRONG) == (0, 1, 2)
-        assert init_segment(triangle, T_WEAK) == (0, 1, 0, 2)
-
-    def test_init_segment_missing_vertex(self, triangle):
-        with pytest.raises(ValueError, match="every vertex"):
-            init_segment(triangle, (0, 1, 0, 1))
-
-    def test_i_initial(self):
-        assert i_initial(T_STRONG, 1) == (0,)
-        assert i_initial(T_STRONG, 4) == (0, 1, 2, 0)
-        assert i_initial(T_STRONG, 6) == T_STRONG
-
-    def test_i_initial_bounds(self):
-        with pytest.raises(ValueError):
-            i_initial(T_STRONG, 0)
-        with pytest.raises(ValueError):
-            i_initial(T_STRONG, 7)
-
     def test_prefix_order_decides_completions(self):
         """A strict inequality between equal-length prefixes persists for
         every pair of completions — the fact that lets the search reject a
