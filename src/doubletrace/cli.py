@@ -254,6 +254,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for orientation in orientations:
         if orientation not in ("any", "parallel", "antiparallel"):
             raise UsageError(f"unknown orientation {orientation!r}")
+    if not orientations:
+        raise UsageError("no orientations requested")
     print(f"# graph: {loaded.label} (n={loaded.graph.n}, m={loaded.graph.m})")
     all_equal = True
     for kind, d in kinds:

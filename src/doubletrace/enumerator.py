@@ -10,27 +10,33 @@ per symmetry orbit.  Three mechanisms cooperate:
   vertex just left behind.
 * `canonical_extension` keeps one smallest candidate per orbit of the
   prefix-fixing automorphisms, so symmetric subtrees are searched once.
-* `prune` tracks which symmetry elements are still undecided on the
-  prefix.  A relabelling is decided at every step; a reversal composed
-  with a rotation becomes decided exactly when its rotated image window
-  slides fully inside the prefix, which happens for shift 2m - p + 1 at
-  prefix length p.  A decided element that maps the prefix to something
-  strictly smaller is a witness that no completion can be canonical, so
-  the branch dies.  Rotations stay undecided until the very end and are
-  handled by the final `is_canonical` check.
+* `prune` tracks the symmetry alignments still tied with the prefix,
+  in the manner of orderly generation: an automorphism read forwards
+  or backwards from some start s of the closed walk.  Only alignments
+  whose first arc maps onto (0, 1) can produce a smaller image, so only
+  those are compared.  Each forward alignment gains one comparison per
+  step; a backward one is decided as soon as its start is pushed, on
+  w_s, ..., w_0.  An image strictly smaller on the prefix is a witness
+  that no completion can be canonical, so the branch dies; a larger
+  one is dropped; a tie keeps the alignment.
 
 A prefix of full length 2m is a leaf.  Closing it is one more step,
 from w_{2m-1} back to w_0 = 0, and `_accept` checks only what that
 step adds: the closing edge's capacity and direction, by the same
 `feasible_neighbors` rule as every other step; the two transition pairs
 it completes, at w_{2m-1} and at w_0, by the same kind lookahead; and
-canonicity.  Every other step was checked on the way down, so each
-accepted leaf is a double trace of the requested kind and orientation.
+canonicity, from the parts of the images that read across the closing
+arc: the wrapped tails of the alignments still tied and the two
+alignments that start on that arc.  Every other step was checked on
+the way down, so each accepted leaf is a canonical double trace of the
+requested kind and orientation.
 
 Disabling `canonical_extension` and the `prune` cut yields a plainer
 search with the same output, only slower.  `prune` itself always runs,
-since it keeps the relabel stabiliser that `canonical_extension` reads;
-with `use_prune=False` its witnesses just cut nothing.
+since it keeps the relabel stabiliser that `canonical_extension` reads
+and the tied alignments that `_accept` reads; with `use_prune=False` a
+witness cuts nothing, but the prefix's descendants inherit it and
+`_accept` rejects their leaves.
 
 One loop, `_descend`, runs the search, in place on a single
 `PartialTrace`.  The parallel path (`jobs > 1`) uses it twice: first
@@ -49,10 +55,15 @@ from typing import Sequence
 
 from .automorphism import AutGroup, SymmetryElement, automorphisms
 from .graph import Graph, SizeGuardError
-from .traces import EnumerationConfig, is_canonical
+from .traces import EnumerationConfig
 
 # Not called here: perfbench/tracing.py wraps these names on this module.
-from .traces import is_double_trace, satisfies_kind, satisfies_orientation  # noqa: F401
+from .traces import (  # noqa: F401
+    is_canonical,
+    is_double_trace,
+    satisfies_kind,
+    satisfies_orientation,
+)
 
 # `_enumerate_parallel` splits at the shallowest frontier with at least
 # this many prefixes per worker, so that one heavy subtree does not
@@ -242,38 +253,66 @@ def feasible_neighbors(partial: PartialTrace, config: EnumerationConfig) -> list
 
 
 class RetainedSymmetries:
-    """Symmetry elements still relevant to a search prefix.
+    """Symmetry alignments still tied with a search prefix.
 
-    The full retained set is huge but has a fixed shape: all rotations
-    stay undecided until the walk closes, each reversal-plus-rotation is
-    decided exactly once on the way down (by `prune`, from `_to_zero`),
-    and the relabellings decided so far reduce to the pointwise
-    stabiliser of the prefix.  Only that stabiliser is stored, in
-    `relabels`; it always holds the identity.
+    An alignment is an automorphism with a start s and a direction: its
+    image of the closed walk is read from w_s forwards or backwards and
+    relabelled.  The image can precede a walk starting 0 1 only if its
+    first arc maps onto (0, 1), so `_arc_index[a][b]` holds the
+    automorphisms mapping the arc (a, b) onto (0, 1), and only those are
+    ever compared.  Three sets stay tied with the prefix:
+
+    * `relabels`, the forward alignments at start 0: the pointwise
+      stabiliser of the prefix, always holding the identity;
+    * `forward`, the (perm, s) pairs for forward alignments at starts
+      s >= 1 whose image matches the prefix so far;
+    * `backward`, the (perm, s) pairs for backward alignments whose image
+      matched all of w_s, ..., w_0; the rest of that image reads the
+      walk's end, so it waits for the leaf.
+
+    `smaller_witness` is an alignment whose image is strictly smaller:
+    no completion of the prefix is canonical, and every descendant
+    inherits it.
     """
 
-    __slots__ = ("length", "relabels", "smaller_witness", "_to_zero")
+    __slots__ = ("length", "relabels", "forward", "backward", "smaller_witness", "_arc_index")
 
     def __init__(
         self,
         length: int,
         relabels: tuple[tuple[int, ...], ...],
+        forward: tuple[tuple[tuple[int, ...], int], ...],
+        backward: tuple[tuple[tuple[int, ...], int], ...],
         smaller_witness: SymmetryElement | None,
-        to_zero: dict[int, tuple[tuple[int, ...], ...]],
+        arc_index: tuple[tuple[tuple[tuple[int, ...], ...], ...], ...],
     ):
         self.length = length
         self.relabels = relabels
+        self.forward = forward
+        self.backward = backward
         self.smaller_witness = smaller_witness
-        self._to_zero = to_zero
+        self._arc_index = arc_index
 
     @classmethod
     def initial(cls, aut: AutGroup, length: int) -> "RetainedSymmetries":
-        relabels = tuple(p for p in aut.elements if p[0] == 0 and p[1] == 1)
-        to_zero: dict[int, list[tuple[int, ...]]] = {}
+        """The alignments tied with the base prefix 0 1.
+
+        Besides the relabellings fixing 0 and 1, the backward alignments
+        starting on the arc (1, 0) read 0 1 from the root.
+        """
+        n = aut.n
+        rows: list[list[list[tuple[int, ...]]]] = [[[] for _ in range(n)] for _ in range(n)]
         for p in aut.elements:
-            to_zero.setdefault(p.index(0), []).append(p)
-        frozen = {v: tuple(ps) for v, ps in to_zero.items()}
-        return cls(length, relabels, None, frozen)
+            rows[p.index(0)][p.index(1)].append(p)
+        arc_index = tuple(tuple(tuple(cell) for cell in row) for row in rows)
+        return cls(
+            length,
+            arc_index[0][1],
+            (),
+            tuple((p, 1) for p in arc_index[1][0]),
+            None,
+            arc_index,
+        )
 
 
 def canonical_extension(
@@ -295,39 +334,69 @@ def canonical_extension(
 
 
 def prune(retained: RetainedSymmetries, partial: PartialTrace) -> RetainedSymmetries:
-    """Update retained symmetries after the last vertex of the prefix.
+    """Advance the tied alignments over the last vertex of the prefix.
 
-    Narrows the relabel stabiliser to the relabellings that fix the new
-    vertex and decides the one reversal alignment whose image window just
-    closed.  If any decided element maps the prefix to a strictly
-    smaller sequence it is recorded as `smaller_witness`: the prefix
-    cannot start a canonical trace.
+    Pushing v = w_{p-1} after u = w_{p-2} narrows the relabel stabiliser
+    to the relabellings fixing v; decides the backward alignments that
+    start at v on the arc (v, u), whose image window w_{p-1}, ..., w_0
+    is now complete; advances every tied forward alignment by one
+    comparison; and lets in the forward alignments that start on the
+    arc (u, v), which tie on it.  An alignment whose image is larger is
+    dropped, a tie keeps it, and a smaller image is recorded as
+    `smaller_witness`, deciding relabellings, then backward, then forward
+    alignments.  Below a witness only the relabel stabiliser is still
+    tracked, and the witness is passed on.
     """
     seq = partial.seq
     p = len(seq)
     v = seq[-1]
+    u = seq[-2]
     length = retained.length
-    to_zero = retained._to_zero.get(v)
-    witness: SymmetryElement | None = None
-    new_relabels = []
+    arc_index = retained._arc_index
+    witness = retained.smaller_witness
+    relabels = []
     for perm in retained.relabels:
         x = perm[v]
         if x == v:
-            new_relabels.append(perm)
+            relabels.append(perm)
         elif x < v and witness is None:
             witness = SymmetryElement(perm, 0, False)
-    if witness is None and to_zero is not None:
-        for perm in to_zero:
-            for j in range(1, p):
+    backward = []
+    forward = []
+    if witness is None:
+        for perm in arc_index[v][u]:
+            for j in range(2, p):
                 a = perm[seq[p - 1 - j]]
                 b = seq[j]
                 if a != b:
                     if a < b:
                         witness = SymmetryElement(perm, (length - p + 1) % length, True)
                     break
+            else:
+                backward.append((perm, p - 1))
             if witness is not None:
                 break
-    return RetainedSymmetries(length, tuple(new_relabels), witness, retained._to_zero)
+    if witness is None:
+        for alignment in retained.forward:
+            perm, s = alignment
+            a = perm[v]
+            b = seq[p - 1 - s]
+            if a == b:
+                forward.append(alignment)
+            elif a < b:
+                witness = SymmetryElement(perm, s, False)
+                break
+    if witness is not None:
+        return RetainedSymmetries(length, tuple(relabels), (), (), witness, arc_index)
+    forward += [(perm, p - 2) for perm in arc_index[u][v]]
+    return RetainedSymmetries(
+        length,
+        tuple(relabels),
+        tuple(forward),
+        retained.backward + tuple(backward) if backward else retained.backward,
+        None,
+        arc_index,
+    )
 
 
 @dataclass(frozen=True)
@@ -350,14 +419,21 @@ class _Search:
         )
 
 
-def _accept(search: _Search, partial: PartialTrace) -> bool:
+def _accept(search: _Search, partial: PartialTrace, rs: RetainedSymmetries) -> bool:
     """Whether a full-length prefix closes into a trace to emit.
 
-    The closing step back to w_0 = 0 must be feasible, the two pairs it
-    completes must pass the kind lookahead (the pair at w_{2m-1} is the
-    step to 0; the pair at w_0 is the step from 0 on to w_1 = 1), and
-    the trace must be canonical.
+    The closing step back to w_0 = 0 must be feasible, and the two pairs
+    it completes must pass the kind lookahead (the pair at w_{2m-1} is
+    the step to 0; the pair at w_0 is the step from 0 on to w_1 = 1).
+    The trace is canonical if the prefix has no witness and no image
+    read from the closed walk precedes it.  `prune` compared every
+    alignment on the prefix, so only two kinds remain: the wrapped tails
+    of the alignments still tied, and the two alignments that start on
+    the closing arc (w_{2m-1}, 0), forwards at s = 2m - 1 and backwards
+    at s = 0.
     """
+    if rs.smaller_witness is not None:
+        return False
     if 0 not in feasible_neighbors(partial, search.config):
         return False
     bound = search.kind_bound
@@ -369,7 +445,24 @@ def _accept(search: _Search, partial: PartialTrace) -> bool:
         partial.pop()
         if not ok:
             return False
-    return is_canonical(search.graph, partial.seq, search.aut)
+    seq = partial.seq
+    length = len(seq)
+    last = seq[-1]
+    arc_index = rs._arc_index
+    # A forward image from s reads w_0 .. w_{s-1} at positions 2m - s ..
+    # 2m - 1; from the closing arc (s = 2m - 1) its position 1 is a tie.
+    closing = tuple((perm, length - 1) for perm in arc_index[last][0])
+    for perm, s in rs.forward + closing:
+        if [perm[x] for x in seq[:s]] < seq[length - s :]:
+            return False
+    # A backward image from s reads w_{2m-1} .. w_{s+1} at positions s + 1
+    # .. 2m - 1; from the closing arc (s = 0) its position 1 is a tie.
+    closing = tuple((perm, 0) for perm in arc_index[0][last])
+    for perm, s in rs.backward + closing:
+        tail = seq[s + 1 :]
+        if [perm[x] for x in tail[::-1]] < tail:
+            return False
+    return True
 
 
 def _descend(
@@ -405,7 +498,7 @@ def _descend(
         return cands
 
     if len(seq) == stop:
-        if not leaf or _accept(search, partial):
+        if not leaf or _accept(search, partial, retained):
             out.append(tuple(seq))
         return
     frames: list[list] = [[expand(retained), 0, retained]]
@@ -425,7 +518,7 @@ def _descend(
             partial.pop()
             continue
         if len(seq) == stop:
-            if not leaf or _accept(search, partial):
+            if not leaf or _accept(search, partial, child_rs):
                 out.append(tuple(seq))
             partial.pop()
             continue

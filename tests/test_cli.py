@@ -174,6 +174,7 @@ class TestUsageErrors:
             ("enumerate", "--named", "tetrahedron", "--jobs", "-2"),
             ("tables", "--jobs", "0"),
             ("tables", "--jobs", "-2"),
+            ("verify", "--graph6", "Bw", "--orientations", ","),
         ],
     )
     def test_exit_code_two(self, capsys, argv):

@@ -14,6 +14,7 @@ from doubletrace import (
     admits_parallel_strong,
     apply_symmetry,
     automorphisms,
+    brute_enumerate,
     canonical_extension,
     canonical_orbit_representatives,
     enumerate_traces,
@@ -27,6 +28,7 @@ from doubletrace import (
     satisfies_orientation,
 )
 from doubletrace.enumerator import (
+    _accept,
     _kind_bound,
     _kind_lookahead_ok,
     _Search,
@@ -244,6 +246,21 @@ class TestRetainedSymmetries:
             rs = prune(rs, pt)
         assert rs.smaller_witness == SymmetryElement((2, 0, 1), 3, True)
 
+    def test_prune_finds_forward_witness(self, k4):
+        # Read forwards from w_3 = 2 and relabelled by (2, 3, 0, 1), the
+        # prefix 0,1,0,2,3,2,0,3 gives 0,1,0,2,1: smaller than 0,1,0,2,3
+        # at the step that pushes the last 3, and no earlier.
+        prefix = (0, 1, 0, 2, 3, 2, 0, 3)
+        rs = RetainedSymmetries.initial(automorphisms(k4), 12)
+        pt = PartialTrace.initial(k4)
+        for v in prefix[2:]:
+            assert rs.smaller_witness is None
+            pt.push(v)
+            rs = prune(rs, pt)
+        w = rs.smaller_witness
+        assert w == SymmetryElement((2, 3, 0, 1), 3, False)
+        assert [w.perm[x] for x in prefix[3:]] == [0, 1, 0, 2, 1]
+
     def test_canonical_prefixes_have_no_witness(self, triangle):
         rs = RetainedSymmetries.initial(automorphisms(triangle), 6)
         pt = PartialTrace.initial(triangle)
@@ -307,41 +324,54 @@ class TestExtendFeasibly:
 
 # Frontier sizes at depths 3 .. 2m - 1 of the full search (every
 # acceleration on).  A change to any cut that alters the search tree
-# shows up here.
+# shows up here.  The second list holds the widths from before `prune`
+# cut forward rotations; a cut can only remove prefixes, so no width may
+# exceed its old value at the same depth.
 SEARCH_TREE_WIDTHS = [
-    ("tetrahedron", None, EnumerationConfig(kind="strong"), [1, 2, 3, 4, 5, 6, 6, 9, 5]),
+    (
+        "tetrahedron",
+        None,
+        EnumerationConfig(kind="strong"),
+        [1, 2, 3, 4, 5, 6, 6, 9, 5],
+        [1, 2, 3, 4, 5, 6, 6, 9, 5],
+    ),
     (
         "prism",
         3,
         EnumerationConfig(kind="strong"),
+        [2, 4, 6, 10, 14, 23, 31, 43, 51, 63, 61, 76, 74, 77, 47],
         [2, 4, 6, 10, 14, 24, 33, 47, 56, 72, 71, 91, 87, 90, 61],
     ),
     (
         "prism",
         3,
         EnumerationConfig(kind="stable", d=1, orientation="antiparallel"),
+        [2, 4, 5, 8, 10, 12, 14, 16, 18, 23, 25, 24, 18, 16, 7],
         [2, 4, 5, 8, 10, 13, 14, 17, 20, 26, 27, 28, 19, 16, 8],
     ),
     (
         "pyramid",
         4,
         EnumerationConfig(kind="stable", d=2),
+        [2, 5, 10, 15, 26, 44, 64, 94, 143, 175, 221, 253, 209],
         [2, 5, 10, 15, 31, 44, 68, 102, 149, 187, 238, 268, 222],
     ),
 ]
 
 
 @pytest.mark.parametrize(
-    "name,k,cfg,widths",
+    "name,k,cfg,widths,widths_before",
     SEARCH_TREE_WIDTHS,
     ids=["tetrahedron-strong", "prism3-strong", "prism3-stable1-antiparallel", "pyramid4-stable2"],
 )
-def test_search_tree_widths_are_pinned(name, k, cfg, widths):
+def test_search_tree_widths_are_pinned(name, k, cfg, widths, widths_before):
     graph = named_graph(name, k)
     search = make_search(graph, cfg)
     pt, rs = search.root()
     got = [len(extend_feasibly(pt, rs, search, d)) for d in range(3, 2 * graph.m)]
     assert got == widths
+    assert len(got) == len(widths_before)
+    assert all(new <= old for new, old in zip(got, widths_before))
 
 
 TRIANGLE_EXPECTED = {
@@ -454,6 +484,38 @@ ALL_CONFIGS = [
     for kind, d in (("any", None), ("strong", None), ("stable", 1), ("stable", 2))
     for orientation in ("any", "parallel", "antiparallel")
 ]
+
+
+LEAF_CHECK_GRAPHS = [
+    named_graph("tetrahedron"),
+    named_graph("prism", 3),
+    named_graph("pyramid", 4),
+] + random_graphs(3, 6)
+
+
+@pytest.mark.parametrize("graph", LEAF_CHECK_GRAPHS)
+def test_leaf_check_matches_is_canonical(graph):
+    # Replay every double trace starting 0 1 through `prune` and `_accept`,
+    # past any witness, as the search does with use_prune=False.  Sorted
+    # traces share prefixes, so each step is pushed once per subtree.
+    search = make_search(graph, EnumerationConfig(), use_prune=False)
+    pt, rs = search.root()
+    stack = [rs]
+    verdicts = set()
+    for w in sorted(brute_enumerate(graph, EnumerationConfig())):
+        common = 2
+        while common < len(pt.seq) and pt.seq[common] == w[common]:
+            common += 1
+        while len(pt.seq) > common:
+            pt.pop()
+            stack.pop()
+        for v in w[common:]:
+            pt.push(v)
+            stack.append(prune(stack[-1], pt))
+        accepted = _accept(search, pt, stack[-1])
+        assert accepted == is_canonical(graph, w, search.aut), w
+        verdicts.add(accepted)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("graph", random_graphs(3, 6))
