@@ -20,16 +20,24 @@ per symmetry orbit.  Three mechanisms cooperate:
   that no completion can be canonical, so the branch dies; a larger
   one is dropped; a tie keeps the alignment.
 
+The walk's end is known early.  When it leaves vertex 0 for the last
+time, the one traversal left at 0 is the closing step, so w_{2m-1} is
+the neighbour c of 0 whose edge still has capacity
+(`PartialTrace.closing`).  From then on `feasible_neighbors` no longer
+offers the step c -> 0, which would strand the walk at 0, and `prune`
+compares each tied backward alignment's next image element, perm[c],
+with w_{s+1}.
+
 A prefix of full length 2m is a leaf.  Closing it is one more step,
 from w_{2m-1} back to w_0 = 0, and `_accept` checks only what that
-step adds: the closing edge's capacity and direction, by the same
-`feasible_neighbors` rule as every other step; the two transition pairs
-it completes, at w_{2m-1} and at w_0, by the same kind lookahead; and
-canonicity, from the parts of the images that read across the closing
-arc: the wrapped tails of the alignments still tied and the two
-alignments that start on that arc.  Every other step was checked on
-the way down, so each accepted leaf is a canonical double trace of the
-requested kind and orientation.
+step adds: the closing edge's direction (its capacity follows from the
+length); the two transition pairs it completes, at w_{2m-1} and at w_0,
+by the same kind lookahead as every other step; and canonicity, from
+the parts of the images that read across the closing arc: the wrapped
+tails of the alignments still tied and the two alignments that start on
+that arc.  Every other step was checked on the way down, so each
+accepted leaf is a canonical double trace of the requested kind and
+orientation.
 
 Disabling `canonical_extension` and the `prune` cut yields a plainer
 search with the same output, only slower.  `prune` itself always runs,
@@ -79,6 +87,14 @@ class PartialTrace:
     vertex (a visit's pair is complete once both its neighbours in the
     walk are known; the pairs at w_0 and at the final vertex close only
     when the walk does).
+
+    `closing` is the walk's last vertex w_{2m-1} once it is forced, else
+    -1.  Vertex 0 has 2 deg(0) traversals: w_0 uses one, each later visit
+    two, and the closing step one.  So when the walk leaves 0 on its
+    deg(0)-th visit, the one traversal left at 0 is the closing step, and
+    it runs from the one neighbour c whose edge to 0 still has capacity:
+    every completion ends c, 0.  A prefix that ends at 0 still has to
+    leave it, so popping the step that left 0 unforces c.
     """
 
     __slots__ = (
@@ -89,6 +105,7 @@ class PartialTrace:
         "visits",
         "tmask",
         "pdeg",
+        "closing",
         "_journal",
     )
 
@@ -103,6 +120,7 @@ class PartialTrace:
         # and pdeg[u][i] how many pair slots of adj[u][i] are used (0..2).
         self.tmask: list[list[int]] = [[0] * len(a) for a in graph.adj]
         self.pdeg: list[list[int]] = [[0] * len(a) for a in graph.adj]
+        self.closing = -1
         self._journal: list[tuple[int, bool, int, int, int, int, int]] = []
 
     @classmethod
@@ -119,6 +137,8 @@ class PartialTrace:
         pt.edge_from[e] = 0
         pt.visits[0] = 1
         pt.visits[1] = 1
+        if graph.degree(0) == 1:
+            pt.closing = 1
         return pt
 
     def push(self, v: int) -> None:
@@ -147,6 +167,12 @@ class PartialTrace:
         else:
             self._journal.append((e, first, -1, 0, 0, 0, 0))
         seq.append(v)
+        if u == 0 and self.visits[0] == len(self.graph.adj[0]):
+            eid_0 = self.graph.eid_row[0]
+            for c in self.graph.adj[0]:
+                if self.edge_count[eid_0[c]] < 2:
+                    self.closing = c
+                    break
 
     def pop(self) -> None:
         """Undo the most recent push (not valid below the initial prefix)."""
@@ -156,6 +182,8 @@ class PartialTrace:
         if first:
             self.edge_from[e] = -1
         self.visits[v] -= 1
+        if self.seq[-1] == 0:
+            self.closing = -1
         if u >= 0:
             tm = self.tmask[u]
             tm[ia] = old_a
@@ -224,9 +252,10 @@ def feasible_neighbors(partial: PartialTrace, config: EnumerationConfig) -> list
     """Vertices that may extend the prefix by one step.
 
     Enforces edge capacity and orientation consistency on second
-    traversals.  At full length the only edge left with capacity leads
-    back to vertex 0, so this also decides the closing step.  The kind
-    is not checked here; that is `_kind_lookahead_ok`'s job.
+    traversals.  Once the closing vertex c is forced, the step c -> 0
+    would spend the traversal the walk's end needs, so 0 is not offered;
+    at full length that step is `_accept`'s to decide.  The kind is not
+    checked here; that is `_kind_lookahead_ok`'s job.
     """
     graph = partial.graph
     u = partial.seq[-1]
@@ -236,18 +265,23 @@ def feasible_neighbors(partial: PartialTrace, config: EnumerationConfig) -> list
     edge_count = partial.edge_count
     edge_from = partial.edge_from
     eid_u = graph.eid_row[u]
+    # The edge c-0 has exactly one traversal used while c is forced.
+    reserved = 0 if u == partial.closing else -1
     out = []
     for v in graph.adj[u]:
         e = eid_u[v]
         c = edge_count[e]
         if c == 2:
             continue
-        if c == 1 and not any_dir:
-            if parallel:
-                if edge_from[e] != u:
-                    continue
-            elif edge_from[e] != v:
+        if c == 1:
+            if v == reserved:
                 continue
+            if not any_dir:
+                if parallel:
+                    if edge_from[e] != u:
+                        continue
+                elif edge_from[e] != v:
+                    continue
         out.append(v)
     return out
 
@@ -268,14 +302,25 @@ class RetainedSymmetries:
       s >= 1 whose image matches the prefix so far;
     * `backward`, the (perm, s) pairs for backward alignments whose image
       matched all of w_s, ..., w_0; the rest of that image reads the
-      walk's end, so it waits for the leaf.
+      walk's end, w_{2m-1} first;
+    * `anchored`, the backward alignments whose image also matched its
+      next element, perm[w_{2m-1}] against w_{s+1}, once the closing
+      vertex w_{2m-1} was forced.  The rest waits for the leaf.
 
     `smaller_witness` is an alignment whose image is strictly smaller:
     no completion of the prefix is canonical, and every descendant
     inherits it.
     """
 
-    __slots__ = ("length", "relabels", "forward", "backward", "smaller_witness", "_arc_index")
+    __slots__ = (
+        "length",
+        "relabels",
+        "forward",
+        "backward",
+        "anchored",
+        "smaller_witness",
+        "_arc_index",
+    )
 
     def __init__(
         self,
@@ -283,6 +328,7 @@ class RetainedSymmetries:
         relabels: tuple[tuple[int, ...], ...],
         forward: tuple[tuple[tuple[int, ...], int], ...],
         backward: tuple[tuple[tuple[int, ...], int], ...],
+        anchored: tuple[tuple[tuple[int, ...], int], ...],
         smaller_witness: SymmetryElement | None,
         arc_index: tuple[tuple[tuple[tuple[int, ...], ...], ...], ...],
     ):
@@ -290,6 +336,7 @@ class RetainedSymmetries:
         self.relabels = relabels
         self.forward = forward
         self.backward = backward
+        self.anchored = anchored
         self.smaller_witness = smaller_witness
         self._arc_index = arc_index
 
@@ -310,6 +357,7 @@ class RetainedSymmetries:
             arc_index[0][1],
             (),
             tuple((p, 1) for p in arc_index[1][0]),
+            (),
             None,
             arc_index,
         )
@@ -337,15 +385,17 @@ def prune(retained: RetainedSymmetries, partial: PartialTrace) -> RetainedSymmet
     """Advance the tied alignments over the last vertex of the prefix.
 
     Pushing v = w_{p-1} after u = w_{p-2} narrows the relabel stabiliser
-    to the relabellings fixing v; decides the backward alignments that
-    start at v on the arc (v, u), whose image window w_{p-1}, ..., w_0
-    is now complete; advances every tied forward alignment by one
-    comparison; and lets in the forward alignments that start on the
-    arc (u, v), which tie on it.  An alignment whose image is larger is
-    dropped, a tie keeps it, and a smaller image is recorded as
-    `smaller_witness`, deciding relabellings, then backward, then forward
-    alignments.  Below a witness only the relabel stabiliser is still
-    tracked, and the witness is passed on.
+    to the relabellings fixing v; once the closing vertex c is forced,
+    compares perm[c] with w_{s+1} for every backward alignment tied on
+    w_s, ..., w_0 that has not read it yet (all of them at the step that
+    forces c, afterwards those tied one step earlier); decides the
+    backward alignments that start at v on the arc (v, u), whose image
+    window w_{p-1}, ..., w_0 is now complete; advances every tied forward
+    alignment by one comparison; and lets in the forward alignments that
+    start on the arc (u, v), which tie on it.  An alignment whose image
+    is larger is dropped, a tie keeps it, and a smaller image is recorded
+    as `smaller_witness`, deciding in that order.  Below a witness only
+    the relabel stabiliser is still tracked, and the witness is passed on.
     """
     seq = partial.seq
     p = len(seq)
@@ -361,6 +411,25 @@ def prune(retained: RetainedSymmetries, partial: PartialTrace) -> RetainedSymmet
             relabels.append(perm)
         elif x < v and witness is None:
             witness = SymmetryElement(perm, 0, False)
+    open_backward = retained.backward
+    anchored = retained.anchored
+    closing = partial.closing
+    if witness is None and closing >= 0 and open_backward:
+        # Every completion ends w_{2m-1} = closing, so a backward image
+        # from s reads perm[closing] right after w_0, against w_{s+1}.
+        tied = []
+        for alignment in open_backward:
+            perm, s = alignment
+            a = perm[closing]
+            b = seq[s + 1]
+            if a == b:
+                tied.append(alignment)
+            elif a < b:
+                witness = SymmetryElement(perm, (length - s) % length, True)
+                break
+        open_backward = ()
+        if tied:
+            anchored += tuple(tied)
     backward = []
     forward = []
     if witness is None:
@@ -387,13 +456,14 @@ def prune(retained: RetainedSymmetries, partial: PartialTrace) -> RetainedSymmet
                 witness = SymmetryElement(perm, s, False)
                 break
     if witness is not None:
-        return RetainedSymmetries(length, tuple(relabels), (), (), witness, arc_index)
+        return RetainedSymmetries(length, tuple(relabels), (), (), (), witness, arc_index)
     forward += [(perm, p - 2) for perm in arc_index[u][v]]
     return RetainedSymmetries(
         length,
         tuple(relabels),
         tuple(forward),
-        retained.backward + tuple(backward) if backward else retained.backward,
+        open_backward + tuple(backward) if backward else open_backward,
+        anchored,
         None,
         arc_index,
     )
@@ -422,20 +492,30 @@ class _Search:
 def _accept(search: _Search, partial: PartialTrace, rs: RetainedSymmetries) -> bool:
     """Whether a full-length prefix closes into a trace to emit.
 
-    The closing step back to w_0 = 0 must be feasible, and the two pairs
-    it completes must pass the kind lookahead (the pair at w_{2m-1} is
-    the step to 0; the pair at w_0 is the step from 0 on to w_1 = 1).
+    The closing step back to w_0 = 0 must respect the orientation, and
+    the two pairs it completes must pass the kind lookahead (the pair at
+    w_{2m-1} is the step to 0; the pair at w_0 is the step from 0 on to
+    w_1 = 1).  Its edge always has capacity: the unused traversals have
+    odd degree only at the walk's two ends, so the single one left after
+    2m - 1 steps joins w_{2m-1} and w_0.
     The trace is canonical if the prefix has no witness and no image
     read from the closed walk precedes it.  `prune` compared every
     alignment on the prefix, so only two kinds remain: the wrapped tails
-    of the alignments still tied, and the two alignments that start on
-    the closing arc (w_{2m-1}, 0), forwards at s = 2m - 1 and backwards
-    at s = 0.
+    of the alignments still tied (an anchored backward one has already
+    matched the first element of its tail), and the two alignments that
+    start on the closing arc (w_{2m-1}, 0), forwards at s = 2m - 1 and
+    backwards at s = 0.
     """
     if rs.smaller_witness is not None:
         return False
-    if 0 not in feasible_neighbors(partial, search.config):
-        return False
+    seq = partial.seq
+    last = seq[-1]
+    orientation = search.config.orientation
+    if orientation != "any":
+        # The closing edge's second traversal runs last -> 0.
+        first_from_last = partial.edge_from[search.graph.eid_row[last][0]] == last
+        if first_from_last != (orientation == "parallel"):
+            return False
     bound = search.kind_bound
     if bound:
         if not _kind_lookahead_ok(partial, 0, bound):
@@ -445,9 +525,7 @@ def _accept(search: _Search, partial: PartialTrace, rs: RetainedSymmetries) -> b
         partial.pop()
         if not ok:
             return False
-    seq = partial.seq
     length = len(seq)
-    last = seq[-1]
     arc_index = rs._arc_index
     # A forward image from s reads w_0 .. w_{s-1} at positions 2m - s ..
     # 2m - 1; from the closing arc (s = 2m - 1) its position 1 is a tie.
@@ -458,7 +536,7 @@ def _accept(search: _Search, partial: PartialTrace, rs: RetainedSymmetries) -> b
     # A backward image from s reads w_{2m-1} .. w_{s+1} at positions s + 1
     # .. 2m - 1; from the closing arc (s = 0) its position 1 is a tie.
     closing = tuple((perm, 0) for perm in arc_index[0][last])
-    for perm, s in rs.backward + closing:
+    for perm, s in rs.backward + rs.anchored + closing:
         tail = seq[s + 1 :]
         if [perm[x] for x in tail[::-1]] < tail:
             return False

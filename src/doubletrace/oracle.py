@@ -163,8 +163,9 @@ def brute_enumerate(
         keep = list(traces)
     else:
         # Profiles use graph.n for "no repetition", and any repetition has
-        # order at most n - 2, so strong means profile > n - 1.
-        bound = graph.n - 1 if config.kind == "strong" else config.d
+        # order at most n - 2, so strong means profile > n - 1.  So does
+        # d-stable for d >= n - 1: there every repetition is too small.
+        bound = graph.n - 1 if config.kind == "strong" else min(config.d, graph.n - 1)
         profiles = _repetition_profiles(graph, scope)
         keep = [seq for seq, prof in zip(traces, profiles) if prof > bound]
     if config.orientation != "any":

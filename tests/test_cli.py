@@ -239,6 +239,20 @@ class TestVerify:
         assert len(ok_lines) == 1
         assert "enumerator=3 oracle=3" in ok_lines[0]
 
+    @pytest.mark.filterwarnings("ignore:stable")
+    def test_stable_order_above_every_degree(self, capsys):
+        # stable(4) on K4 asks for more than any repetition can have, so
+        # it keeps exactly the strong traces, in the oracle too.
+        code, out, _ = run(
+            capsys,
+            "verify", "--named", "tetrahedron",
+            "--kinds", "stable:4", "--orientations", "any",
+        )
+        assert code == EXIT_OK
+        ok_lines = [l for l in out.splitlines() if l.startswith("OK:")]
+        assert len(ok_lines) == 1
+        assert "enumerator=3 oracle=3" in ok_lines[0]
+
     def test_singular_flag_aliases(self, capsys):
         code, out, _ = run(
             capsys,

@@ -87,27 +87,39 @@ class TestPartialTrace:
         assert pt.pdeg[0] == [0, 0]
 
     def test_pop_restores_everything(self, k4):
-        pt = build_partial(k4, (0, 1, 2, 0, 1))
-        snapshot = (
-            list(pt.seq),
-            list(pt.edge_count),
-            list(pt.edge_from),
-            list(pt.visits),
-            [list(x) for x in pt.tmask],
-            [list(x) for x in pt.pdeg],
-        )
+        def snapshot(pt):
+            return (
+                list(pt.seq),
+                list(pt.edge_count),
+                list(pt.edge_from),
+                list(pt.visits),
+                [list(x) for x in pt.tmask],
+                [list(x) for x in pt.pdeg],
+                pt.closing,
+            )
+
+        # Leaving 0 on its third visit forces the closing vertex 3.
+        pt = build_partial(k4, (0, 1, 2, 0, 1, 3, 0))
+        before = snapshot(pt)
+        pt.push(2)
+        assert pt.closing == 3
         pt.push(3)
-        pt.push(0)
         pt.pop()
+        assert pt.closing == 3
         pt.pop()
-        assert snapshot == (
-            list(pt.seq),
-            list(pt.edge_count),
-            list(pt.edge_from),
-            list(pt.visits),
-            [list(x) for x in pt.tmask],
-            [list(x) for x in pt.pdeg],
-        )
+        assert snapshot(pt) == before
+
+    def test_closing_vertex_forced_on_last_departure_from_0(self, k4, path3):
+        # K4: 0 has degree 3.  After 0,1,0,2,1,2,3,0 its third visit is
+        # open; leaving it for 3 spends the edge {0,3}, so the one
+        # traversal left at 0 is on {0,2}: every completion ends 2, 0.
+        pt = build_partial(k4, (0, 1, 0, 2, 1, 2, 3, 0))
+        assert pt.closing == -1
+        pt.push(3)
+        assert pt.closing == 2
+        # When 0 is a leaf the walk leaves it once, at the root.
+        assert PartialTrace.initial(path3).closing == 1
+        assert PartialTrace.initial(Graph(2, [(0, 1)])).closing == 1
 
     def test_len(self, triangle):
         assert len(build_partial(triangle, (0, 1, 2))) == 3
@@ -175,15 +187,32 @@ class TestFeasibleNeighbors:
         pt.push(2)
         assert feasible_neighbors(pt, EnumerationConfig(kind="strong")) == [3]
 
+    def test_reserved_closing_step_is_not_offered(self, triangle):
+        # After 0,1,0,2 the one traversal left at 0 is the closing step
+        # 2 -> 0, so stepping there now would strand the walk at 0.
+        pt = build_partial(triangle, (0, 1, 0, 2))
+        assert pt.closing == 2
+        for cfg in (EnumerationConfig(), EnumerationConfig(orientation="antiparallel")):
+            assert feasible_neighbors(pt, cfg) == [1]
+        pt.push(1)
+        assert feasible_neighbors(pt, EnumerationConfig()) == [2]
+
     def test_full_length_offers_only_the_closing_step(self, triangle):
         # At full length the one edge left with capacity leads back to
-        # vertex 0.  Here it is {0,2}, first taken 0 -> 2, so closing
-        # 2 -> 0 is allowed for orientation any and antiparallel, and
+        # vertex 0.  Here it is {0,2}, first taken 0 -> 2.  It is the
+        # reserved closing step, so no step is offered, and `_accept`
+        # decides it: allowed for orientation any and antiparallel,
         # forbidden for parallel.
-        pt = build_partial(triangle, (0, 1, 0, 2, 1, 2))
-        assert feasible_neighbors(pt, EnumerationConfig()) == [0]
-        assert feasible_neighbors(pt, EnumerationConfig(orientation="antiparallel")) == [0]
-        assert feasible_neighbors(pt, EnumerationConfig(orientation="parallel")) == []
+        prefix = (0, 1, 0, 2, 1, 2)
+        for orientation, accepted in (("any", True), ("antiparallel", True), ("parallel", False)):
+            cfg = EnumerationConfig(orientation=orientation)
+            search = make_search(triangle, cfg)
+            pt, rs = search.root()
+            for v in prefix[2:]:
+                pt.push(v)
+                rs = prune(rs, pt)
+            assert feasible_neighbors(pt, cfg) == []
+            assert _accept(search, pt, rs) is accepted
 
 
 class TestCanonicalExtension:
@@ -261,6 +290,24 @@ class TestRetainedSymmetries:
         assert w == SymmetryElement((2, 3, 0, 1), 3, False)
         assert [w.perm[x] for x in prefix[3:]] == [0, 1, 0, 2, 1]
 
+    def test_prune_finds_end_anchored_witness(self, k4):
+        # Leaving 0 for the last time with the push of the final 3 forces
+        # the walk's end: w_11 = 2.  Read backwards from w_5 = 2 and
+        # relabelled by (2, 1, 0, 3), the prefix gives 0,1,0,2,1,2 and
+        # then perm[2] = 0, smaller than w_6 = 3.  No earlier push knows
+        # w_11, so none finds a witness.
+        prefix = (0, 1, 0, 2, 1, 2, 3, 0, 3)
+        rs = RetainedSymmetries.initial(automorphisms(k4), 12)
+        pt = PartialTrace.initial(k4)
+        for v in prefix[2:]:
+            assert rs.smaller_witness is None
+            pt.push(v)
+            rs = prune(rs, pt)
+        assert pt.closing == 2
+        w = rs.smaller_witness
+        assert w == SymmetryElement((2, 1, 0, 3), 7, True)
+        assert [w.perm[x] for x in prefix[5::-1]] + [w.perm[2]] == [0, 1, 0, 2, 1, 2, 0]
+
     def test_canonical_prefixes_have_no_witness(self, triangle):
         rs = RetainedSymmetries.initial(automorphisms(triangle), 6)
         pt = PartialTrace.initial(triangle)
@@ -324,37 +371,45 @@ class TestExtendFeasibly:
 
 # Frontier sizes at depths 3 .. 2m - 1 of the full search (every
 # acceleration on).  A change to any cut that alters the search tree
-# shows up here.  The second list holds the widths from before `prune`
-# cut forward rotations; a cut can only remove prefixes, so no width may
-# exceed its old value at the same depth.
+# shows up here.  The second list holds the widths from before the
+# search anchored the walk's end on the forced closing vertex; a cut can
+# only remove prefixes, so no width may exceed its old value at the same
+# depth.
 SEARCH_TREE_WIDTHS = [
     (
         "tetrahedron",
         None,
         EnumerationConfig(kind="strong"),
-        [1, 2, 3, 4, 5, 6, 6, 9, 5],
+        [1, 2, 3, 4, 5, 6, 6, 5, 5],
         [1, 2, 3, 4, 5, 6, 6, 9, 5],
     ),
     (
         "prism",
         3,
         EnumerationConfig(kind="strong"),
+        [2, 4, 6, 10, 14, 23, 30, 38, 47, 45, 47, 48, 44, 46, 41],
         [2, 4, 6, 10, 14, 23, 31, 43, 51, 63, 61, 76, 74, 77, 47],
-        [2, 4, 6, 10, 14, 24, 33, 47, 56, 72, 71, 91, 87, 90, 61],
     ),
     (
         "prism",
         3,
         EnumerationConfig(kind="stable", d=1, orientation="antiparallel"),
+        [2, 4, 5, 8, 10, 12, 14, 15, 15, 16, 14, 11, 7, 3, 2],
         [2, 4, 5, 8, 10, 12, 14, 16, 18, 23, 25, 24, 18, 16, 7],
-        [2, 4, 5, 8, 10, 13, 14, 17, 20, 26, 27, 28, 19, 16, 8],
     ),
     (
         "pyramid",
         4,
         EnumerationConfig(kind="stable", d=2),
+        [2, 5, 10, 15, 26, 43, 61, 84, 109, 125, 114, 102, 91],
         [2, 5, 10, 15, 26, 44, 64, 94, 143, 175, 221, 253, 209],
-        [2, 5, 10, 15, 31, 44, 68, 102, 149, 187, 238, 268, 222],
+    ),
+    (
+        "tetrahedron",
+        None,
+        EnumerationConfig(),
+        [2, 3, 6, 11, 20, 30, 41, 46, 42],
+        [2, 3, 6, 11, 21, 30, 47, 62, 60],
     ),
 ]
 
@@ -362,7 +417,13 @@ SEARCH_TREE_WIDTHS = [
 @pytest.mark.parametrize(
     "name,k,cfg,widths,widths_before",
     SEARCH_TREE_WIDTHS,
-    ids=["tetrahedron-strong", "prism3-strong", "prism3-stable1-antiparallel", "pyramid4-stable2"],
+    ids=[
+        "tetrahedron-strong",
+        "prism3-strong",
+        "prism3-stable1-antiparallel",
+        "pyramid4-stable2",
+        "tetrahedron-any",
+    ],
 )
 def test_search_tree_widths_are_pinned(name, k, cfg, widths, widths_before):
     graph = named_graph(name, k)
@@ -520,6 +581,36 @@ def test_leaf_check_matches_is_canonical(graph):
 
 @pytest.mark.parametrize("graph", random_graphs(3, 6))
 def test_random_graphs_serial_and_parallel_match_oracle(graph):
+    for cfg in ALL_CONFIGS:
+        expected = canonical_orbit_representatives(graph, cfg)
+        assert enumerate_traces(graph, cfg) == expected, cfg.describe()
+        assert enumerate_traces(graph, cfg, jobs=2) == expected, cfg.describe()
+
+
+def with_pendant_start(graph):
+    """The graph with a new vertex 0 hung on its vertex 0, renumbered 1."""
+    return Graph(graph.n + 1, [(0, 1)] + [(u + 1, v + 1) for u, v in graph.edges])
+
+
+# Graphs whose vertex 0 is a leaf, so the walk's end, 1 then 0, is forced
+# from the root.  `random_graphs` never makes one (minimum degree 2).
+PENDANT_START_GRAPHS = {
+    "P3": Graph(3, [(0, 1), (1, 2)]),
+    "K13-leaf": Graph(4, [(0, 1), (1, 2), (1, 3)]),
+    "triangle+pendant": with_pendant_start(Graph(3, [(0, 1), (0, 2), (1, 2)])),
+    "K4+pendant": with_pendant_start(named_graph("tetrahedron")),
+    "house+pendant": with_pendant_start(
+        Graph(5, [(0, 1), (0, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
+    ),
+}
+
+
+@pytest.mark.filterwarnings("ignore:stable")
+@pytest.mark.parametrize(
+    "graph", PENDANT_START_GRAPHS.values(), ids=PENDANT_START_GRAPHS.keys()
+)
+def test_pendant_start_vertex_serial_and_parallel_match_oracle(graph):
+    assert graph.degree(0) == 1
     for cfg in ALL_CONFIGS:
         expected = canonical_orbit_representatives(graph, cfg)
         assert enumerate_traces(graph, cfg) == expected, cfg.describe()

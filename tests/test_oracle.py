@@ -83,6 +83,26 @@ class TestBruteEnumerate:
             assert satisfies_kind(k4, w, cfg)
             assert satisfies_orientation(k4, w, cfg)
 
+    @pytest.mark.parametrize("scope", ["simple_only", "all_starts"])
+    @pytest.mark.parametrize("name", ["K2", "P3", "triangle", "K4"])
+    def test_stable_for_every_d_matches_kind_predicate(self, request, name, scope):
+        # A repetition-free trace is d-stable for every d, also for
+        # d >= n, where no neighbourhood has a proper subset that large.
+        graph = {
+            "K2": Graph(2, [(0, 1)]),
+            "P3": request.getfixturevalue("path3"),
+            "triangle": request.getfixturevalue("triangle"),
+            "K4": request.getfixturevalue("k4"),
+        }[name]
+        unrestricted = brute_enumerate(graph, scope=scope)
+        for d in range(1, graph.n + 2):
+            cfg = EnumerationConfig(kind="stable", d=d)
+            expected = [w for w in unrestricted if satisfies_kind(graph, w, cfg)]
+            assert brute_enumerate(graph, cfg, scope=scope) == expected, d
+        strong = brute_enumerate(graph, EnumerationConfig(kind="strong"), scope=scope)
+        stable_n = brute_enumerate(graph, EnumerationConfig(kind="stable", d=graph.n), scope=scope)
+        assert stable_n == strong != []
+
     def test_bad_scope(self, triangle):
         with pytest.raises(ValueError, match="scope"):
             brute_enumerate(triangle, scope="everything")
