@@ -41,13 +41,16 @@ orientation.
 
 Disabling `canonical_extension` and the `prune` cut yields a plainer
 search with the same output, only slower.  `prune` itself always runs,
-since it keeps the relabel stabiliser that `canonical_extension` reads
-and the tied alignments that `_accept` reads; with `use_prune=False` a
-witness cuts nothing, but the prefix's descendants inherit it and
-`_accept` rejects their leaves.
+once per `PartialTrace.push`, since it keeps the relabel stabiliser
+that `canonical_extension` reads and the tied alignments that `_accept`
+reads; with `use_prune=False` a witness cuts nothing, but the prefix's
+descendants inherit it and `_accept` rejects their leaves.
 
 One loop, `_descend`, runs the search, in place on a single
-`PartialTrace`.  The parallel path (`jobs > 1`) uses it twice: first
+`PartialTrace`: the one search state, holding the prefix and the
+symmetries tied with it.  `push` extends both and `pop` restores both
+from one undo journal, as in backtracking with dancing links (Knuth,
+TAOCP 7.2.2.1).  The parallel path (`jobs > 1`) uses it twice: first
 with a stop depth, through `extend_feasibly`, to list the prefixes the
 search enters at the shallowest depth with at least `FRONTIER_PER_JOB`
 prefixes per worker; then in each worker, which replays every jobs-th
@@ -57,7 +60,6 @@ no state, and the split is the same on every run.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -80,13 +82,14 @@ FRONTIER_PER_JOB = 16
 
 
 class PartialTrace:
-    """Mutable prefix of a double trace with incremental bookkeeping.
+    """The search state: a prefix of a double trace and the symmetries
+    still tied with it.
 
-    Tracks per-edge use counts and first traversal directions, per-vertex
-    visit counts, and the transition structure already completed at each
-    vertex (a visit's pair is complete once both its neighbours in the
-    walk are known; the pairs at w_0 and at the final vertex close only
-    when the walk does).
+    The walk's bookkeeping: per-edge use counts and first traversal
+    directions, per-vertex visit counts, and the transition structure
+    already completed at each vertex (a visit's pair is complete once
+    both its neighbours in the walk are known; the pairs at w_0 and at
+    the final vertex close only when the walk does).
 
     `closing` is the walk's last vertex w_{2m-1} once it is forced, else
     -1.  Vertex 0 has 2 deg(0) traversals: w_0 uses one, each later visit
@@ -95,6 +98,34 @@ class PartialTrace:
     it runs from the one neighbour c whose edge to 0 still has capacity:
     every completion ends c, 0.  A prefix that ends at 0 still has to
     leave it, so popping the step that left 0 unforces c.
+
+    The symmetries, which `prune` advances on every push: an alignment
+    is an automorphism with a start s and a direction, whose image of the
+    closed walk is read from w_s forwards or backwards and relabelled.
+    The image can precede a walk starting 0 1 only if its first arc maps
+    onto (0, 1), so `_arc_index[a][b]` holds the automorphisms mapping
+    the arc (a, b) onto (0, 1), and only those are ever compared.  Four
+    sets stay tied with the prefix:
+
+    * `relabels`, the forward alignments at start 0: the pointwise
+      stabiliser of the prefix, always holding the identity;
+    * `forward`, the (perm, s) pairs for forward alignments at starts
+      s >= 1 whose image matches the prefix so far;
+    * `backward`, the (perm, s) pairs for backward alignments whose image
+      matched all of w_s, ..., w_0; the rest of that image reads the
+      walk's end, w_{2m-1} first;
+    * `anchored`, the backward alignments whose image also matched its
+      next element, perm[w_{2m-1}] against w_{s+1}, once the closing
+      vertex w_{2m-1} was forced.  The rest waits for the leaf.
+
+    `smaller_witness` is an alignment whose image is strictly smaller:
+    no completion of the prefix is canonical, and every descendant
+    inherits it.
+
+    `prune` replaces these five fields and never changes a list in them,
+    so the journal entry of a push keeps their previous values by
+    reference, next to the walk bookkeeping it changed, and `pop`
+    restores the prefix and its symmetries together.
     """
 
     __slots__ = (
@@ -106,6 +137,12 @@ class PartialTrace:
         "tmask",
         "pdeg",
         "closing",
+        "relabels",
+        "forward",
+        "backward",
+        "anchored",
+        "smaller_witness",
+        "_arc_index",
         "_journal",
     )
 
@@ -121,10 +158,21 @@ class PartialTrace:
         self.tmask: list[list[int]] = [[0] * len(a) for a in graph.adj]
         self.pdeg: list[list[int]] = [[0] * len(a) for a in graph.adj]
         self.closing = -1
-        self._journal: list[tuple[int, bool, int, int, int, int, int]] = []
+        self.relabels: list[tuple[int, ...]] = []
+        self.forward: list[tuple[tuple[int, ...], int]] = []
+        self.backward: list[tuple[tuple[int, ...], int]] = []
+        self.anchored: list[tuple[tuple[int, ...], int]] = []
+        self.smaller_witness: SymmetryElement | None = None
+        self._arc_index: tuple[tuple[tuple[tuple[int, ...], ...], ...], ...] = ()
+        self._journal: list[tuple] = []
 
     @classmethod
-    def initial(cls, graph: Graph) -> "PartialTrace":
+    def initial(cls, graph: Graph, aut: AutGroup) -> "PartialTrace":
+        """The base prefix 0 1 and the alignments tied with it.
+
+        Besides the relabellings fixing 0 and 1, the backward alignments
+        starting on the arc (1, 0) read 0 1 from the root.
+        """
         if graph.n < 2 or not graph.has_edge(0, 1):
             raise ValueError(
                 "enumeration needs vertices 0 and 1 adjacent; "
@@ -139,10 +187,17 @@ class PartialTrace:
         pt.visits[1] = 1
         if graph.degree(0) == 1:
             pt.closing = 1
+        n = aut.n
+        rows: list[list[list[tuple[int, ...]]]] = [[[] for _ in range(n)] for _ in range(n)]
+        for p in aut.elements:
+            rows[p.index(0)][p.index(1)].append(p)
+        pt._arc_index = tuple(tuple(tuple(cell) for cell in row) for row in rows)
+        pt.relabels = list(pt._arc_index[0][1])
+        pt.backward = [(p, 1) for p in pt._arc_index[1][0]]
         return pt
 
     def push(self, v: int) -> None:
-        """Append v; caller guarantees feasibility."""
+        """Append v (the caller guarantees feasibility) and `prune`."""
         seq = self.seq
         u = seq[-1]
         e = self.graph.eid_row[u][v]
@@ -151,21 +206,21 @@ class PartialTrace:
             self.edge_from[e] = u
         self.edge_count[e] += 1
         self.visits[v] += 1
-        if len(seq) >= 2:
-            idx = self.graph.nbr_index[u]
-            ia = idx[seq[-2]]
-            ib = idx[v]
-            tm = self.tmask[u]
-            old_a = tm[ia]
-            old_b = tm[ib]
-            tm[ia] = old_a | (1 << ib)
-            tm[ib] = tm[ib] | (1 << ia)
-            pd = self.pdeg[u]
-            pd[ia] += 1
-            pd[ib] += 1
-            self._journal.append((e, first, u, ia, old_a, ib, old_b))
-        else:
-            self._journal.append((e, first, -1, 0, 0, 0, 0))
+        idx = self.graph.nbr_index[u]
+        ia = idx[seq[-2]]
+        ib = idx[v]
+        tm = self.tmask[u]
+        old_a = tm[ia]
+        old_b = tm[ib]
+        tm[ia] = old_a | (1 << ib)
+        tm[ib] = tm[ib] | (1 << ia)
+        pd = self.pdeg[u]
+        pd[ia] += 1
+        pd[ib] += 1
+        self._journal.append(
+            (e, first, ia, old_a, ib, old_b,
+             self.relabels, self.forward, self.backward, self.anchored, self.smaller_witness)
+        )
         seq.append(v)
         if u == 0 and self.visits[0] == len(self.graph.adj[0]):
             eid_0 = self.graph.eid_row[0]
@@ -173,24 +228,27 @@ class PartialTrace:
                 if self.edge_count[eid_0[c]] < 2:
                     self.closing = c
                     break
+        prune(self)
 
     def pop(self) -> None:
-        """Undo the most recent push (not valid below the initial prefix)."""
+        """Undo the most recent push, the symmetries that its `prune`
+        replaced included (not valid below the initial prefix)."""
         v = self.seq.pop()
-        e, first, u, ia, old_a, ib, old_b = self._journal.pop()
+        (e, first, ia, old_a, ib, old_b, self.relabels, self.forward, self.backward,
+         self.anchored, self.smaller_witness) = self._journal.pop()
         self.edge_count[e] -= 1
         if first:
             self.edge_from[e] = -1
         self.visits[v] -= 1
-        if self.seq[-1] == 0:
+        u = self.seq[-1]
+        if u == 0:
             self.closing = -1
-        if u >= 0:
-            tm = self.tmask[u]
-            tm[ia] = old_a
-            tm[ib] = old_b
-            pd = self.pdeg[u]
-            pd[ia] -= 1
-            pd[ib] -= 1
+        tm = self.tmask[u]
+        tm[ia] = old_a
+        tm[ib] = old_b
+        pd = self.pdeg[u]
+        pd[ia] -= 1
+        pd[ib] -= 1
 
     def __len__(self) -> int:
         return len(self.seq)
@@ -205,26 +263,24 @@ def _kind_bound(graph: Graph, config: EnumerationConfig) -> int:
     return 0
 
 
-def _kind_lookahead_ok(partial: PartialTrace, v: int, bound: int) -> bool:
-    """The in-search kind check: False if stepping to v dooms the vertex left.
+def _kind_lookahead_ok(partial: PartialTrace, a: int, u: int, v: int, bound: int) -> bool:
+    """The in-search kind check: False if the pair {a, v} at u dooms u.
 
-    Stepping to v completes the pair {w_{p-2}, v} at u = w_{p-1}.  If the
-    transition component containing that pair has every pair slot filled,
-    later visits can never connect it to the rest of the neighbourhood,
-    so it survives as a component of the final structure.  When it is
-    also a proper subset of size <= bound, every completion has a
-    forbidden repetition at u and the branch is dead.  Every component
-    is saturated by its last pair, so each one is checked exactly when
-    it becomes final, at the start vertex too.  The two pairs that only
-    the closing step completes, at w_{2m-1} and at w_0, are checked the
-    same way by `_accept`.
+    Stepping from u = w_{p-1} to v completes the pair {w_{p-2}, v} at u.
+    If the transition component containing that pair has every pair slot
+    filled, later visits can never connect it to the rest of the
+    neighbourhood, so it survives as a component of the final structure.
+    When it is also a proper subset of size <= bound, every completion
+    has a forbidden repetition at u and the branch is dead.  Every
+    component is saturated by its last pair, so each one is checked
+    exactly when it becomes final, at the start vertex too.  The two
+    pairs that only the closing step completes, {w_{2m-2}, w_0} at
+    w_{2m-1} and {w_{2m-1}, w_1} at w_0, are checked the same way by
+    `_accept`.
     """
-    graph = partial.graph
-    seq = partial.seq
-    u = seq[-1]
-    idx_u = graph.nbr_index[u]
+    idx_u = partial.graph.nbr_index[u]
     tm = partial.tmask[u]
-    comp = (1 << idx_u[seq[-2]]) | (1 << idx_u[v])
+    comp = (1 << idx_u[a]) | (1 << idx_u[v])
     frontier = comp
     while frontier:
         lb = frontier & -frontier
@@ -286,88 +342,9 @@ def feasible_neighbors(partial: PartialTrace, config: EnumerationConfig) -> list
     return out
 
 
-class RetainedSymmetries:
-    """Symmetry alignments still tied with a search prefix.
-
-    An alignment is an automorphism with a start s and a direction: its
-    image of the closed walk is read from w_s forwards or backwards and
-    relabelled.  The image can precede a walk starting 0 1 only if its
-    first arc maps onto (0, 1), so `_arc_index[a][b]` holds the
-    automorphisms mapping the arc (a, b) onto (0, 1), and only those are
-    ever compared.  Three sets stay tied with the prefix:
-
-    * `relabels`, the forward alignments at start 0: the pointwise
-      stabiliser of the prefix, always holding the identity;
-    * `forward`, the (perm, s) pairs for forward alignments at starts
-      s >= 1 whose image matches the prefix so far;
-    * `backward`, the (perm, s) pairs for backward alignments whose image
-      matched all of w_s, ..., w_0; the rest of that image reads the
-      walk's end, w_{2m-1} first;
-    * `anchored`, the backward alignments whose image also matched its
-      next element, perm[w_{2m-1}] against w_{s+1}, once the closing
-      vertex w_{2m-1} was forced.  The rest waits for the leaf.
-
-    `smaller_witness` is an alignment whose image is strictly smaller:
-    no completion of the prefix is canonical, and every descendant
-    inherits it.
-    """
-
-    __slots__ = (
-        "length",
-        "relabels",
-        "forward",
-        "backward",
-        "anchored",
-        "smaller_witness",
-        "_arc_index",
-    )
-
-    def __init__(
-        self,
-        length: int,
-        relabels: tuple[tuple[int, ...], ...],
-        forward: tuple[tuple[tuple[int, ...], int], ...],
-        backward: tuple[tuple[tuple[int, ...], int], ...],
-        anchored: tuple[tuple[tuple[int, ...], int], ...],
-        smaller_witness: SymmetryElement | None,
-        arc_index: tuple[tuple[tuple[tuple[int, ...], ...], ...], ...],
-    ):
-        self.length = length
-        self.relabels = relabels
-        self.forward = forward
-        self.backward = backward
-        self.anchored = anchored
-        self.smaller_witness = smaller_witness
-        self._arc_index = arc_index
-
-    @classmethod
-    def initial(cls, aut: AutGroup, length: int) -> "RetainedSymmetries":
-        """The alignments tied with the base prefix 0 1.
-
-        Besides the relabellings fixing 0 and 1, the backward alignments
-        starting on the arc (1, 0) read 0 1 from the root.
-        """
-        n = aut.n
-        rows: list[list[list[tuple[int, ...]]]] = [[[] for _ in range(n)] for _ in range(n)]
-        for p in aut.elements:
-            rows[p.index(0)][p.index(1)].append(p)
-        arc_index = tuple(tuple(tuple(cell) for cell in row) for row in rows)
-        return cls(
-            length,
-            arc_index[0][1],
-            (),
-            tuple((p, 1) for p in arc_index[1][0]),
-            (),
-            None,
-            arc_index,
-        )
-
-
-def canonical_extension(
-    partial: PartialTrace, candidates: Sequence[int], retained: RetainedSymmetries
-) -> list[int]:
+def canonical_extension(partial: PartialTrace, candidates: Sequence[int]) -> list[int]:
     """One smallest candidate per orbit of the prefix-fixing relabellings."""
-    relabels = retained.relabels
+    relabels = partial.relabels
     if len(relabels) <= 1 or len(candidates) <= 1:
         return sorted(candidates)
     remaining = set(candidates)
@@ -381,9 +358,10 @@ def canonical_extension(
     return out
 
 
-def prune(retained: RetainedSymmetries, partial: PartialTrace) -> RetainedSymmetries:
+def prune(partial: PartialTrace) -> PartialTrace:
     """Advance the tied alignments over the last vertex of the prefix.
 
+    `push` calls this once per step, and `pop` restores what it replaced.
     Pushing v = w_{p-1} after u = w_{p-2} narrows the relabel stabiliser
     to the relabellings fixing v; once the closing vertex c is forced,
     compares perm[c] with w_{s+1} for every backward alignment tied on
@@ -396,23 +374,28 @@ def prune(retained: RetainedSymmetries, partial: PartialTrace) -> RetainedSymmet
     is larger is dropped, a tie keeps it, and a smaller image is recorded
     as `smaller_witness`, deciding in that order.  Below a witness only
     the relabel stabiliser is still tracked, and the witness is passed on.
+    Returns `partial`.
     """
     seq = partial.seq
     p = len(seq)
     v = seq[-1]
     u = seq[-2]
-    length = retained.length
-    arc_index = retained._arc_index
-    witness = retained.smaller_witness
-    relabels = []
-    for perm in retained.relabels:
-        x = perm[v]
-        if x == v:
-            relabels.append(perm)
-        elif x < v and witness is None:
-            witness = SymmetryElement(perm, 0, False)
-    open_backward = retained.backward
-    anchored = retained.anchored
+    length = 2 * partial.graph.m
+    arc_index = partial._arc_index
+    witness = partial.smaller_witness
+    relabels = partial.relabels
+    if len(relabels) > 1:
+        # The identity alone fixes every vertex and is never smaller.
+        kept = []
+        for perm in relabels:
+            x = perm[v]
+            if x == v:
+                kept.append(perm)
+            elif x < v and witness is None:
+                witness = SymmetryElement(perm, 0, False)
+        partial.relabels = kept
+    open_backward = partial.backward
+    anchored = partial.anchored
     closing = partial.closing
     if witness is None and closing >= 0 and open_backward:
         # Every completion ends w_{2m-1} = closing, so a backward image
@@ -427,9 +410,9 @@ def prune(retained: RetainedSymmetries, partial: PartialTrace) -> RetainedSymmet
             elif a < b:
                 witness = SymmetryElement(perm, (length - s) % length, True)
                 break
-        open_backward = ()
+        open_backward = []
         if tied:
-            anchored += tuple(tied)
+            anchored = anchored + tied
     backward = []
     forward = []
     if witness is None:
@@ -446,7 +429,7 @@ def prune(retained: RetainedSymmetries, partial: PartialTrace) -> RetainedSymmet
             if witness is not None:
                 break
     if witness is None:
-        for alignment in retained.forward:
+        for alignment in partial.forward:
             perm, s = alignment
             a = perm[v]
             b = seq[p - 1 - s]
@@ -456,17 +439,14 @@ def prune(retained: RetainedSymmetries, partial: PartialTrace) -> RetainedSymmet
                 witness = SymmetryElement(perm, s, False)
                 break
     if witness is not None:
-        return RetainedSymmetries(length, tuple(relabels), (), (), (), witness, arc_index)
+        partial.forward = partial.backward = partial.anchored = []
+        partial.smaller_witness = witness
+        return partial
     forward += [(perm, p - 2) for perm in arc_index[u][v]]
-    return RetainedSymmetries(
-        length,
-        tuple(relabels),
-        tuple(forward),
-        open_backward + tuple(backward) if backward else open_backward,
-        anchored,
-        None,
-        arc_index,
-    )
+    partial.forward = forward
+    partial.backward = open_backward + backward if backward else open_backward
+    partial.anchored = anchored
+    return partial
 
 
 @dataclass(frozen=True)
@@ -482,22 +462,21 @@ class _Search:
     use_prune: bool
     use_canonical_extension: bool
 
-    def root(self) -> tuple[PartialTrace, RetainedSymmetries]:
-        """The base-edge prefix and the symmetries retained on it."""
-        return PartialTrace.initial(self.graph), RetainedSymmetries.initial(
-            self.aut, self.length
-        )
+    def root(self) -> PartialTrace:
+        """The base-edge prefix, with the symmetries tied on it."""
+        return PartialTrace.initial(self.graph, self.aut)
 
 
-def _accept(search: _Search, partial: PartialTrace, rs: RetainedSymmetries) -> bool:
+def _accept(search: _Search, partial: PartialTrace) -> bool:
     """Whether a full-length prefix closes into a trace to emit.
 
     The closing step back to w_0 = 0 must respect the orientation, and
-    the two pairs it completes must pass the kind lookahead (the pair at
-    w_{2m-1} is the step to 0; the pair at w_0 is the step from 0 on to
-    w_1 = 1).  Its edge always has capacity: the unused traversals have
-    odd degree only at the walk's two ends, so the single one left after
-    2m - 1 steps joins w_{2m-1} and w_0.
+    the two pairs it completes must pass the kind lookahead: {w_{2m-2},
+    0} at w_{2m-1} and {w_{2m-1}, 1} at w_0.  They are checked on the
+    prefix as it stands, without pushing the closing step.  Its edge
+    always has capacity: the unused traversals have odd degree only at
+    the walk's two ends, so the single one left after 2m - 1 steps joins
+    w_{2m-1} and w_0.
     The trace is canonical if the prefix has no witness and no image
     read from the closed walk precedes it.  `prune` compared every
     alignment on the prefix, so only two kinds remain: the wrapped tails
@@ -506,7 +485,7 @@ def _accept(search: _Search, partial: PartialTrace, rs: RetainedSymmetries) -> b
     start on the closing arc (w_{2m-1}, 0), forwards at s = 2m - 1 and
     backwards at s = 0.
     """
-    if rs.smaller_witness is not None:
+    if partial.smaller_witness is not None:
         return False
     seq = partial.seq
     last = seq[-1]
@@ -517,26 +496,23 @@ def _accept(search: _Search, partial: PartialTrace, rs: RetainedSymmetries) -> b
         if first_from_last != (orientation == "parallel"):
             return False
     bound = search.kind_bound
-    if bound:
-        if not _kind_lookahead_ok(partial, 0, bound):
-            return False
-        partial.push(0)
-        ok = _kind_lookahead_ok(partial, 1, bound)
-        partial.pop()
-        if not ok:
-            return False
+    if bound and not (
+        _kind_lookahead_ok(partial, seq[-2], last, 0, bound)
+        and _kind_lookahead_ok(partial, last, 0, 1, bound)
+    ):
+        return False
     length = len(seq)
-    arc_index = rs._arc_index
+    arc_index = partial._arc_index
     # A forward image from s reads w_0 .. w_{s-1} at positions 2m - s ..
     # 2m - 1; from the closing arc (s = 2m - 1) its position 1 is a tie.
-    closing = tuple((perm, length - 1) for perm in arc_index[last][0])
-    for perm, s in rs.forward + closing:
+    closing = [(perm, length - 1) for perm in arc_index[last][0]]
+    for perm, s in partial.forward + closing:
         if [perm[x] for x in seq[:s]] < seq[length - s :]:
             return False
     # A backward image from s reads w_{2m-1} .. w_{s+1} at positions s + 1
     # .. 2m - 1; from the closing arc (s = 0) its position 1 is a tie.
-    closing = tuple((perm, 0) for perm in arc_index[0][last])
-    for perm, s in rs.backward + rs.anchored + closing:
+    closing = [(perm, 0) for perm in arc_index[0][last]]
+    for perm, s in partial.backward + partial.anchored + closing:
         tail = seq[s + 1 :]
         if [perm[x] for x in tail[::-1]] < tail:
             return False
@@ -544,11 +520,7 @@ def _accept(search: _Search, partial: PartialTrace, rs: RetainedSymmetries) -> b
 
 
 def _descend(
-    partial: PartialTrace,
-    retained: RetainedSymmetries,
-    search: _Search,
-    stop: int,
-    out: list[tuple[int, ...]],
+    partial: PartialTrace, search: _Search, stop: int, out: list[tuple[int, ...]]
 ) -> None:
     """Exhaust the subtree under one prefix down to length `stop`.
 
@@ -556,9 +528,10 @@ def _descend(
     takes it.  At a shorter stop the prefix itself goes to `out` and the
     search backtracks.  Candidates are tried in increasing order, so
     `out` grows in lexicographic order.  Children are explored by
-    push/pop on a single PartialTrace rather than by copying; each stack
-    frame keeps the candidate list for its prefix and the symmetries
-    retained there.  The prefix is restored on return.
+    push/pop on the one search state, whose push advances the tied
+    symmetries and whose pop restores them; each stack frame keeps only
+    the candidate list for its prefix and the index of the next one to
+    try.  The prefix is restored on return.
     """
     seq = partial.seq
     config = search.config
@@ -567,19 +540,21 @@ def _descend(
     use_canonical_extension = search.use_canonical_extension
     leaf = stop == search.length
 
-    def expand(rs: RetainedSymmetries) -> list[int]:
+    def expand() -> list[int]:
         cands = feasible_neighbors(partial, config)
         if bound and cands:
-            cands = [v for v in cands if _kind_lookahead_ok(partial, v, bound)]
+            a = seq[-2]
+            u = seq[-1]
+            cands = [v for v in cands if _kind_lookahead_ok(partial, a, u, v, bound)]
         if use_canonical_extension:
-            cands = canonical_extension(partial, cands, rs)
+            cands = canonical_extension(partial, cands)
         return cands
 
     if len(seq) == stop:
-        if not leaf or _accept(search, partial, retained):
+        if not leaf or _accept(search, partial):
             out.append(tuple(seq))
         return
-    frames: list[list] = [[expand(retained), 0, retained]]
+    frames: list[list] = [[expand(), 0]]
     while frames:
         frame = frames[-1]
         cands = frame[0]
@@ -591,21 +566,18 @@ def _descend(
             continue
         frame[1] = i + 1
         partial.push(cands[i])
-        child_rs = prune(frame[2], partial)
-        if use_prune and child_rs.smaller_witness is not None:
+        if use_prune and partial.smaller_witness is not None:
             partial.pop()
             continue
         if len(seq) == stop:
-            if not leaf or _accept(search, partial, child_rs):
+            if not leaf or _accept(search, partial):
                 out.append(tuple(seq))
             partial.pop()
             continue
-        frames.append([expand(child_rs), 0, child_rs])
+        frames.append([expand(), 0])
 
 
-def extend_feasibly(
-    partial: PartialTrace, retained: RetainedSymmetries, search: _Search, depth: int
-) -> list[tuple[int, ...]]:
+def extend_feasibly(partial: PartialTrace, search: _Search, depth: int) -> list[tuple[int, ...]]:
     """The prefixes of length `depth` that the search under `partial` enters.
 
     They come in search order, and each has passed every check the full
@@ -614,7 +586,7 @@ def extend_feasibly(
     full trace.
     """
     out: list[tuple[int, ...]] = []
-    _descend(partial, retained, search, depth, out)
+    _descend(partial, search, depth, out)
     return out
 
 
@@ -624,13 +596,12 @@ def _enumerate_subtrees(
     """Replay each frontier prefix from the root and search it to full length."""
     out: list[tuple[int, ...]] = []
     for prefix in prefixes:
-        partial, rs = search.root()
+        partial = search.root()
         for v in prefix[len(partial) :]:
             partial.push(v)
-            rs = prune(rs, partial)
-            if search.use_prune and rs.smaller_witness is not None:
+            if search.use_prune and partial.smaller_witness is not None:
                 raise AssertionError("replayed prefix was pruned")
-        _descend(partial, rs, search, search.length, out)
+        _descend(partial, search, search.length, out)
     return out
 
 
@@ -655,11 +626,6 @@ def enumerate_traces(
     """
     if config is None:
         config = EnumerationConfig()
-    if config.kind == "stable" and config.d > graph.min_degree():
-        warnings.warn(
-            f"stable({config.d}) exceeds the minimum degree {graph.min_degree()}",
-            stacklevel=2,
-        )
     if aut is None:
         aut = automorphisms(graph)
     search = _Search(
@@ -671,16 +637,16 @@ def enumerate_traces(
         use_prune,
         use_canonical_extension,
     )
-    partial, rs0 = search.root()
+    partial = search.root()
     if jobs > 1:
-        return _enumerate_parallel(partial, rs0, search, jobs)
+        return _enumerate_parallel(partial, search, jobs)
     out: list[tuple[int, ...]] = []
-    _descend(partial, rs0, search, search.length, out)
+    _descend(partial, search, search.length, out)
     return out
 
 
 def _enumerate_parallel(
-    partial: PartialTrace, rs0: RetainedSymmetries, search: _Search, jobs: int
+    partial: PartialTrace, search: _Search, jobs: int
 ) -> list[tuple[int, ...]]:
     """Split the search at the shallowest frontier wide enough for `jobs`.
 
@@ -694,7 +660,7 @@ def _enumerate_parallel(
     depth = len(partial)
     while 0 < len(prefixes) < FRONTIER_PER_JOB * jobs and depth + 1 < search.length:
         depth += 1
-        prefixes = extend_feasibly(partial, rs0, search, depth)
+        prefixes = extend_feasibly(partial, search, depth)
     args = [(search, prefixes[i::jobs]) for i in range(min(jobs, len(prefixes)))]
     out: list[tuple[int, ...]] = []
     if args:
@@ -711,10 +677,15 @@ def admits_parallel_strong(graph: Graph) -> bool:
 
 
 def admits_d_stable(graph: Graph, d: int) -> bool:
-    """A d-stable trace exists iff the minimum degree is at least d."""
+    """A d-stable trace exists for every d >= 1.
+
+    A repetition is a nonempty proper subset of a neighbourhood, so a
+    strong trace, which has none, is d-stable for every d, and every
+    connected graph has a strong trace (Fijavz, Pisanski and Rus, 2014).
+    """
     if d < 1:
         raise ValueError(f"d must be positive, got {d}")
-    return graph.min_degree() >= d
+    return True
 
 
 def admits_antiparallel_strong(graph: Graph, max_edges: int = 16) -> bool:

@@ -239,7 +239,6 @@ class TestVerify:
         assert len(ok_lines) == 1
         assert "enumerator=3 oracle=3" in ok_lines[0]
 
-    @pytest.mark.filterwarnings("ignore:stable")
     def test_stable_order_above_every_degree(self, capsys):
         # stable(4) on K4 asks for more than any repetition can have, so
         # it keeps exactly the strong traces, in the oracle too.

@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import pytest
 
@@ -6,7 +7,6 @@ from doubletrace import (
     EnumerationConfig,
     Graph,
     PartialTrace,
-    RetainedSymmetries,
     SizeGuardError,
     SymmetryElement,
     admits_antiparallel_strong,
@@ -23,12 +23,12 @@ from doubletrace import (
     is_double_trace,
     named_graph,
     normalize_base_edge,
-    prune,
     satisfies_kind,
     satisfies_orientation,
 )
 from doubletrace.enumerator import (
     _accept,
+    _enumerate_subtrees,
     _kind_bound,
     _kind_lookahead_ok,
     _Search,
@@ -40,7 +40,7 @@ K4_STRONG = (0, 1, 2, 0, 1, 3, 0, 2, 3, 1, 2, 3)
 
 def build_partial(graph, seq):
     """Partial trace for an explicit prefix (no feasibility checking)."""
-    pt = PartialTrace.initial(graph)
+    pt = PartialTrace.initial(graph, automorphisms(graph))
     assert tuple(seq[:2]) == (0, 1)
     for v in seq[2:]:
         pt.push(v)
@@ -64,7 +64,7 @@ class TestPartialTrace:
     def test_initial_requires_base_edge(self):
         g = Graph(3, [(0, 2), (1, 2)])
         with pytest.raises(ValueError, match="adjacent"):
-            PartialTrace.initial(g)
+            PartialTrace.initial(g, automorphisms(g))
 
     def test_push_updates_bookkeeping(self, triangle):
         pt = build_partial(triangle, (0, 1, 2, 0))
@@ -86,28 +86,67 @@ class TestPartialTrace:
         assert pt.pdeg[2] == [1, 1]
         assert pt.pdeg[0] == [0, 0]
 
-    def test_pop_restores_everything(self, k4):
-        def snapshot(pt):
-            return (
-                list(pt.seq),
-                list(pt.edge_count),
-                list(pt.edge_from),
-                list(pt.visits),
-                [list(x) for x in pt.tmask],
-                [list(x) for x in pt.pdeg],
-                pt.closing,
-            )
+    @staticmethod
+    def snapshot(pt):
+        return (
+            list(pt.seq),
+            list(pt.edge_count),
+            list(pt.edge_from),
+            list(pt.visits),
+            [list(x) for x in pt.tmask],
+            [list(x) for x in pt.pdeg],
+            pt.closing,
+            list(pt.relabels),
+            list(pt.forward),
+            list(pt.backward),
+            list(pt.anchored),
+            pt.smaller_witness,
+        )
 
+    def test_pop_restores_everything(self, k4):
         # Leaving 0 on its third visit forces the closing vertex 3.
         pt = build_partial(k4, (0, 1, 2, 0, 1, 3, 0))
-        before = snapshot(pt)
+        before = self.snapshot(pt)
         pt.push(2)
         assert pt.closing == 3
         pt.push(3)
         pt.pop()
         assert pt.closing == 3
         pt.pop()
-        assert snapshot(pt) == before
+        assert self.snapshot(pt) == before
+
+    @pytest.mark.parametrize(
+        "fixture,prefix,tail,anchored",
+        [
+            ("triangle", (0, 1, 2), (1, 0), False),
+            ("k4", (0, 1, 0, 2, 1, 2, 3, 0), (3, 1), False),
+            ("k4", (0, 1, 0, 2, 1, 3, 0, 3, 2), (3, 1), True),
+        ],
+        ids=["triangle-reversal", "k4-end-anchored", "k4-after-anchoring"],
+    )
+    def test_pop_restores_the_symmetries_past_a_witness(
+        self, request, fixture, prefix, tail, anchored
+    ):
+        # The first push of `tail` finds a witness (the triangle's reversal
+        # of 0,1,2,1; K4's end-anchored one when 0,1,0,2,1,2,3,0,3 forces
+        # the closing vertex 2; a backward one on 0,1,0,2,1,3,0,3,2,3,
+        # after every open backward alignment was anchored), the second
+        # inherits it.  Popping both brings back the tied alignments.
+        pt = build_partial(request.getfixturevalue(fixture), prefix)
+        before = self.snapshot(pt)
+        assert before[-1] is None and before[-4]
+        assert bool(before[-3]) is not anchored and bool(before[-2]) is anchored
+        snapshots = []
+        for v in tail:
+            pt.push(v)
+            assert pt.smaller_witness is not None
+            assert pt.forward == pt.backward == pt.anchored == []
+            snapshots.append(self.snapshot(pt))
+        assert snapshots[0][-1] == snapshots[1][-1]
+        pt.pop()
+        assert self.snapshot(pt) == snapshots[0]
+        pt.pop()
+        assert self.snapshot(pt) == before
 
     def test_closing_vertex_forced_on_last_departure_from_0(self, k4, path3):
         # K4: 0 has degree 3.  After 0,1,0,2,1,2,3,0 its third visit is
@@ -118,8 +157,8 @@ class TestPartialTrace:
         pt.push(3)
         assert pt.closing == 2
         # When 0 is a leaf the walk leaves it once, at the root.
-        assert PartialTrace.initial(path3).closing == 1
-        assert PartialTrace.initial(Graph(2, [(0, 1)])).closing == 1
+        assert build_partial(path3, (0, 1)).closing == 1
+        assert build_partial(Graph(2, [(0, 1)]), (0, 1)).closing == 1
 
     def test_len(self, triangle):
         assert len(build_partial(triangle, (0, 1, 2))) == 3
@@ -129,7 +168,7 @@ class TestFeasibleNeighbors:
     def test_open_start_allows_whole_neighborhood(self, k4):
         # At length 2 only adjacency and edge capacity constrain the step,
         # even for strong enumeration.
-        pt = PartialTrace.initial(k4)
+        pt = build_partial(k4, (0, 1))
         assert feasible_neighbors(pt, EnumerationConfig(kind="strong")) == [0, 2, 3]
 
     def test_exhausted_edges_block(self, triangle):
@@ -162,7 +201,7 @@ class TestFeasibleNeighbors:
         assert feasible_neighbors(pt, EnumerationConfig(kind="strong")) == [2]
         assert feasible_neighbors(pt, EnumerationConfig()) == [2]
         cfg = EnumerationConfig(kind="strong")
-        assert _kind_lookahead_ok(pt, 2, _kind_bound(k4, cfg))
+        assert _kind_lookahead_ok(pt, 3, 1, 2, _kind_bound(k4, cfg))
 
     def test_completing_visit_rejects_split(self, triangle):
         # Leaving vertex 1 for the second (= last) time here closes its
@@ -177,7 +216,7 @@ class TestFeasibleNeighbors:
         for cfg in (EnumerationConfig(), strong, stable1):
             assert feasible_neighbors(pt, cfg) == [2]
         for cfg in (strong, stable1):
-            assert not _kind_lookahead_ok(pt, 2, _kind_bound(triangle, cfg))
+            assert not _kind_lookahead_ok(pt, 2, 1, 2, _kind_bound(triangle, cfg))
 
     def test_last_steps_of_known_trace(self, k4):
         # The final two steps of a full strong trace stay feasible; the
@@ -207,60 +246,117 @@ class TestFeasibleNeighbors:
         for orientation, accepted in (("any", True), ("antiparallel", True), ("parallel", False)):
             cfg = EnumerationConfig(orientation=orientation)
             search = make_search(triangle, cfg)
-            pt, rs = search.root()
+            pt = search.root()
             for v in prefix[2:]:
                 pt.push(v)
-                rs = prune(rs, pt)
             assert feasible_neighbors(pt, cfg) == []
-            assert _accept(search, pt, rs) is accepted
+            assert _accept(search, pt) is accepted
+
+
+class TestClosingPairs:
+    """The two pairs that only the closing step completes, {w_{2m-2}, 0}
+    at w_{2m-1} and {w_{2m-1}, 1} at w_0, checked on the unclosed prefix."""
+
+    @staticmethod
+    def replay(graph, cfg, trace):
+        """The search state for `trace`, and whether every in-search
+        kind lookahead passed on the way."""
+        search = make_search(graph, cfg)
+        pt = search.root()
+        passed = True
+        for v in trace[2:]:
+            passed = passed and _kind_lookahead_ok(pt, pt.seq[-2], pt.seq[-1], v, search.kind_bound)
+            pt.push(v)
+        return search, pt, passed
+
+    @pytest.mark.parametrize(
+        "trace,at_last,at_start",
+        [
+            ((0, 1, 2, 0, 1, 3, 2, 1, 3, 2, 0, 3), False, True),
+            ((0, 1, 2, 0, 3, 1, 2, 3, 0, 2, 3, 1), True, False),
+        ],
+        ids=["fails-at-last", "fails-at-start"],
+    )
+    def test_k4_stable1(self, k4, trace, at_last, at_start):
+        # The first trace pairs 0 with itself at w_11 = 3, the second 1
+        # with itself at w_0 = 0: a one-vertex repetition each, seen by
+        # no lookahead before the closing step.
+        search, pt, passed = self.replay(k4, EnumerationConfig(kind="stable", d=1), trace)
+        assert passed
+        assert _kind_lookahead_ok(pt, trace[-2], trace[-1], 0, 1) is at_last
+        assert _kind_lookahead_ok(pt, trace[-1], 0, 1, 1) is at_start
+        # Neither prefix is canonical either, so `_accept` has two reasons.
+        assert pt.smaller_witness is not None
+        assert not _accept(search, pt)
+
+    @pytest.mark.parametrize(
+        "graph,trace,at_last,at_start",
+        [
+            (
+                named_graph("pyramid", 4),
+                (0, 1, 2, 3, 4, 1, 0, 3, 4, 2, 1, 4, 2, 3, 0, 4),
+                False,
+                True,
+            ),
+            (
+                Graph(5, [(0, 1), (0, 3), (0, 4), (1, 4), (2, 3), (2, 4), (3, 4)]),
+                (0, 1, 4, 0, 3, 2, 4, 0, 3, 4, 2, 3, 4, 1),
+                True,
+                False,
+            ),
+        ],
+        ids=["pyramid4-fails-at-last", "fails-at-start"],
+    )
+    def test_canonical_prefix_rejected_by_one_closing_pair(self, graph, trace, at_last, at_start):
+        # Canonical traces of kind any, so `_accept` takes them unless
+        # asked for stable(1), where one closing pair alone rejects them.
+        search, pt, passed = self.replay(graph, EnumerationConfig(kind="stable", d=1), trace)
+        assert passed and pt.smaller_witness is None
+        assert _kind_lookahead_ok(pt, trace[-2], trace[-1], 0, 1) is at_last
+        assert _kind_lookahead_ok(pt, trace[-1], 0, 1, 1) is at_start
+        assert not _accept(search, pt)
+        assert _accept(make_search(graph, EnumerationConfig()), pt)
+        assert len(pt) == 2 * graph.m
 
 
 class TestCanonicalExtension:
     def test_collapses_symmetric_candidates(self, k4):
         # The stabilizer of the base edge in Aut(K4) swaps 2 and 3, so
         # one of them represents both.
-        pt = PartialTrace.initial(k4)
-        rs = RetainedSymmetries.initial(automorphisms(k4), 12)
-        assert canonical_extension(pt, [0, 2, 3], rs) == [0, 2]
+        pt = build_partial(k4, (0, 1))
+        assert canonical_extension(pt, [0, 2, 3]) == [0, 2]
 
     def test_unsorted_input(self, k4):
-        pt = PartialTrace.initial(k4)
-        rs = RetainedSymmetries.initial(automorphisms(k4), 12)
-        assert canonical_extension(pt, [3, 0, 2], rs) == [0, 2]
+        pt = build_partial(k4, (0, 1))
+        assert canonical_extension(pt, [3, 0, 2]) == [0, 2]
 
     def test_singleton(self, k4):
-        pt = PartialTrace.initial(k4)
-        rs = RetainedSymmetries.initial(automorphisms(k4), 12)
-        assert canonical_extension(pt, [2], rs) == [2]
+        pt = build_partial(k4, (0, 1))
+        assert canonical_extension(pt, [2]) == [2]
 
     def test_trivial_stabilizer_keeps_all(self, k4):
         # After 0,1,2 no nontrivial automorphism fixes the prefix, so no
         # candidates collapse.
         pt = build_partial(k4, (0, 1, 2))
-        rs = prune(RetainedSymmetries.initial(automorphisms(k4), 12), pt)
-        assert canonical_extension(pt, [0, 1, 3], rs) == [0, 1, 3]
+        assert canonical_extension(pt, [0, 1, 3]) == [0, 1, 3]
 
 
 class TestRetainedSymmetries:
     def test_initial_relabels_fix_base_edge(self, k4):
-        rs = RetainedSymmetries.initial(automorphisms(k4), 12)
-        assert all(p[0] == 0 and p[1] == 1 for p in rs.relabels)
+        pt = build_partial(k4, (0, 1))
+        assert all(p[0] == 0 and p[1] == 1 for p in pt.relabels)
         # The stabilizer of the ordered pair (0, 1) in Aut(K4) = S4 is
         # exactly {identity, swap 2 and 3}.
-        assert sorted(rs.relabels) == [(0, 1, 2, 3), (0, 1, 3, 2)]
+        assert sorted(pt.relabels) == [(0, 1, 2, 3), (0, 1, 3, 2)]
 
     def test_prune_narrows_relabels(self, k4):
-        rs = RetainedSymmetries.initial(automorphisms(k4), 12)
         pt = build_partial(k4, (0, 1, 2))
-        rs2 = prune(rs, pt)
-        assert rs2.smaller_witness is None
-        assert rs2.relabels == ((0, 1, 2, 3),)
+        assert pt.smaller_witness is None
+        assert pt.relabels == [(0, 1, 2, 3)]
 
     def test_prune_finds_relabel_witness(self, k4):
         # Swapping 2 and 3 maps the prefix 0,1,3 to the smaller 0,1,2.
-        rs = RetainedSymmetries.initial(automorphisms(k4), 12)
-        pt = build_partial(k4, (0, 1, 3))
-        w = prune(rs, pt).smaller_witness
+        w = build_partial(k4, (0, 1, 3)).smaller_witness
         assert w == SymmetryElement((0, 1, 3, 2), 0, False)
         assert apply_symmetry(w, (0, 1, 3)) == (0, 1, 2)
 
@@ -268,25 +364,19 @@ class TestRetainedSymmetries:
         # Reading 0,1,2,1 backwards from its end and relabelling 1 to 0
         # yields 0,1,0,...: strictly smaller, so no completion of this
         # prefix can be canonical.
-        rs = RetainedSymmetries.initial(automorphisms(triangle), 6)
-        pt = PartialTrace.initial(triangle)
-        for v in (2, 1):
-            pt.push(v)
-            rs = prune(rs, pt)
-        assert rs.smaller_witness == SymmetryElement((2, 0, 1), 3, True)
+        pt = build_partial(triangle, (0, 1, 2, 1))
+        assert pt.smaller_witness == SymmetryElement((2, 0, 1), 3, True)
 
     def test_prune_finds_forward_witness(self, k4):
         # Read forwards from w_3 = 2 and relabelled by (2, 3, 0, 1), the
         # prefix 0,1,0,2,3,2,0,3 gives 0,1,0,2,1: smaller than 0,1,0,2,3
         # at the step that pushes the last 3, and no earlier.
         prefix = (0, 1, 0, 2, 3, 2, 0, 3)
-        rs = RetainedSymmetries.initial(automorphisms(k4), 12)
-        pt = PartialTrace.initial(k4)
+        pt = build_partial(k4, prefix[:2])
         for v in prefix[2:]:
-            assert rs.smaller_witness is None
+            assert pt.smaller_witness is None
             pt.push(v)
-            rs = prune(rs, pt)
-        w = rs.smaller_witness
+        w = pt.smaller_witness
         assert w == SymmetryElement((2, 3, 0, 1), 3, False)
         assert [w.perm[x] for x in prefix[3:]] == [0, 1, 0, 2, 1]
 
@@ -297,24 +387,20 @@ class TestRetainedSymmetries:
         # then perm[2] = 0, smaller than w_6 = 3.  No earlier push knows
         # w_11, so none finds a witness.
         prefix = (0, 1, 0, 2, 1, 2, 3, 0, 3)
-        rs = RetainedSymmetries.initial(automorphisms(k4), 12)
-        pt = PartialTrace.initial(k4)
+        pt = build_partial(k4, prefix[:2])
         for v in prefix[2:]:
-            assert rs.smaller_witness is None
+            assert pt.smaller_witness is None
             pt.push(v)
-            rs = prune(rs, pt)
         assert pt.closing == 2
-        w = rs.smaller_witness
+        w = pt.smaller_witness
         assert w == SymmetryElement((2, 1, 0, 3), 7, True)
         assert [w.perm[x] for x in prefix[5::-1]] + [w.perm[2]] == [0, 1, 0, 2, 1, 2, 0]
 
     def test_canonical_prefixes_have_no_witness(self, triangle):
-        rs = RetainedSymmetries.initial(automorphisms(triangle), 6)
-        pt = PartialTrace.initial(triangle)
+        pt = build_partial(triangle, (0, 1))
         for v in (0, 2, 1, 2):
             pt.push(v)
-            rs = prune(rs, pt)
-            assert rs.smaller_witness is None
+            assert pt.smaller_witness is None
 
     @pytest.mark.parametrize(
         "fixture,prefix,witnessed",
@@ -322,30 +408,43 @@ class TestRetainedSymmetries:
         ids=["k4", "triangle-witnessed"],
     )
     def test_relabels_are_the_prefix_stabilizer(self, request, fixture, prefix, witnessed):
-        # After every prune the stored relabellings are exactly the
+        # After every push the stored relabellings are exactly the
         # automorphisms fixing each prefix vertex, also on the triangle
         # prefix 0,1,2,1, where prune finds a witness.
         graph = request.getfixturevalue(fixture)
         aut = automorphisms(graph)
-        rs = RetainedSymmetries.initial(aut, 2 * graph.m)
-        pt = PartialTrace.initial(graph)
+        pt = PartialTrace.initial(graph, aut)
         for v in prefix[2:]:
             pt.push(v)
-            rs = prune(rs, pt)
             expected = {p for p in aut.elements if all(p[w] == w for w in pt.seq)}
-            assert set(rs.relabels) == expected
-        assert (rs.smaller_witness is not None) == witnessed
+            assert set(pt.relabels) == expected
+        assert (pt.smaller_witness is not None) == witnessed
+
+
+class TestReplay:
+    def test_witnessed_prefix_is_refused(self, triangle):
+        # 0,1,2,1 has a reversal witness, so no frontier holds it.
+        search = make_search(triangle, EnumerationConfig())
+        with pytest.raises(AssertionError, match="replayed prefix was pruned"):
+            _enumerate_subtrees(search, [(0, 1, 2, 1)])
+
+    def test_witnessed_prefix_replays_without_prune(self, triangle):
+        # Without the cut the frontier may hold it; the witness is
+        # inherited, so its subtree yields nothing.
+        search = make_search(triangle, EnumerationConfig(), use_prune=False)
+        assert _enumerate_subtrees(search, [(0, 1, 2, 1)]) == []
+        assert _enumerate_subtrees(search, [(0, 1, 2, 0)]) == [(0, 1, 2, 0, 1, 2)]
 
 
 class TestExtendFeasibly:
     def test_frontier_in_search_order(self, k4):
         search = make_search(k4, EnumerationConfig(kind="strong"))
-        pt, rs = search.root()
+        pt = search.root()
         # The kind lookahead cuts 0,1,0: pairing 0 with itself at vertex 1
         # fills both pair slots of 0 there, leaving {0} a repetition.
-        assert extend_feasibly(pt, rs, search, 3) == [(0, 1, 2)]
-        assert extend_feasibly(pt, rs, search, 4) == [(0, 1, 2, 0), (0, 1, 2, 3)]
-        frontier = extend_feasibly(pt, rs, search, 6)
+        assert extend_feasibly(pt, search, 3) == [(0, 1, 2)]
+        assert extend_feasibly(pt, search, 4) == [(0, 1, 2, 0), (0, 1, 2, 3)]
+        frontier = extend_feasibly(pt, search, 6)
         assert frontier == sorted(frontier)
         assert pt.seq == [0, 1]
         # The frontier covers the output.
@@ -356,17 +455,16 @@ class TestExtendFeasibly:
         # From 0,1,2 the only extensions are 0 and 1, and 0,1,2,1 is
         # killed by its reversal witness.
         search = make_search(triangle, EnumerationConfig())
-        pt, rs = search.root()
+        pt = search.root()
         pt.push(2)
-        rs = prune(rs, pt)
-        assert extend_feasibly(pt, rs, search, 4) == [(0, 1, 2, 0)]
+        assert extend_feasibly(pt, search, 4) == [(0, 1, 2, 0)]
         assert pt.seq == [0, 1, 2]
 
     def test_prune_disabled_keeps_them(self, triangle):
         search = make_search(triangle, EnumerationConfig(), use_prune=False)
-        pt, rs = search.root()
+        pt = search.root()
         pt.push(2)
-        assert extend_feasibly(pt, rs, search, 4) == [(0, 1, 2, 0), (0, 1, 2, 1)]
+        assert extend_feasibly(pt, search, 4) == [(0, 1, 2, 0), (0, 1, 2, 1)]
 
 
 # Frontier sizes at depths 3 .. 2m - 1 of the full search (every
@@ -428,8 +526,8 @@ SEARCH_TREE_WIDTHS = [
 def test_search_tree_widths_are_pinned(name, k, cfg, widths, widths_before):
     graph = named_graph(name, k)
     search = make_search(graph, cfg)
-    pt, rs = search.root()
-    got = [len(extend_feasibly(pt, rs, search, d)) for d in range(3, 2 * graph.m)]
+    pt = search.root()
+    got = [len(extend_feasibly(pt, search, d)) for d in range(3, 2 * graph.m)]
     assert got == widths
     assert len(got) == len(widths_before)
     assert all(new <= old for new, old in zip(got, widths_before))
@@ -483,9 +581,13 @@ class TestEnumerateTraces:
         with pytest.raises(ValueError, match="adjacent"):
             enumerate_traces(g)
 
-    def test_warns_when_d_exceeds_min_degree(self, triangle):
-        with pytest.warns(UserWarning, match="minimum degree"):
-            enumerate_traces(triangle, EnumerationConfig(kind="stable", d=3))
+    def test_stable_above_min_degree_is_strong(self, triangle):
+        # No repetition has 3 of the triangle's vertices, so stable(3)
+        # keeps exactly the strong traces, and it is no cause for a warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = enumerate_traces(triangle, EnumerationConfig(kind="stable", d=3))
+        assert got == enumerate_traces(triangle, EnumerationConfig(kind="strong")) != []
 
     @pytest.mark.parametrize(
         "flags",
@@ -556,12 +658,12 @@ LEAF_CHECK_GRAPHS = [
 
 @pytest.mark.parametrize("graph", LEAF_CHECK_GRAPHS)
 def test_leaf_check_matches_is_canonical(graph):
-    # Replay every double trace starting 0 1 through `prune` and `_accept`,
-    # past any witness, as the search does with use_prune=False.  Sorted
-    # traces share prefixes, so each step is pushed once per subtree.
+    # Replay every double trace starting 0 1 through `push` (and so
+    # `prune`) and `_accept`, past any witness, as the search does with
+    # use_prune=False.  Sorted traces share prefixes, so each step is
+    # pushed once per subtree.
     search = make_search(graph, EnumerationConfig(), use_prune=False)
-    pt, rs = search.root()
-    stack = [rs]
+    pt = search.root()
     verdicts = set()
     for w in sorted(brute_enumerate(graph, EnumerationConfig())):
         common = 2
@@ -569,11 +671,9 @@ def test_leaf_check_matches_is_canonical(graph):
             common += 1
         while len(pt.seq) > common:
             pt.pop()
-            stack.pop()
         for v in w[common:]:
             pt.push(v)
-            stack.append(prune(stack[-1], pt))
-        accepted = _accept(search, pt, stack[-1])
+        accepted = _accept(search, pt)
         assert accepted == is_canonical(graph, w, search.aut), w
         verdicts.add(accepted)
     assert verdicts == {True, False}
@@ -605,7 +705,6 @@ PENDANT_START_GRAPHS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:stable")
 @pytest.mark.parametrize(
     "graph", PENDANT_START_GRAPHS.values(), ids=PENDANT_START_GRAPHS.keys()
 )
@@ -624,12 +723,24 @@ class TestFeasibilityPredicates:
         assert not admits_parallel_strong(named_graph("tetrahedron"))
         assert not admits_parallel_strong(named_graph("cube"))
 
-    def test_d_stable_needs_min_degree(self, k4):
+    def test_d_stable_for_every_d(self, k4):
+        # A strong trace is d-stable for every d.
         assert admits_d_stable(k4, 1)
         assert admits_d_stable(k4, 3)
-        assert not admits_d_stable(k4, 4)
+        assert admits_d_stable(k4, 4)
         with pytest.raises(ValueError):
             admits_d_stable(k4, 0)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [Graph(3, [(0, 1), (0, 2), (1, 2)]), named_graph("tetrahedron")]
+        + list(PENDANT_START_GRAPHS.values()),
+        ids=["triangle", "K4"] + list(PENDANT_START_GRAPHS.keys()),
+    )
+    def test_d_stable_matches_enumeration(self, graph):
+        for d in range(1, graph.n + 2):
+            cfg = EnumerationConfig(kind="stable", d=d)
+            assert admits_d_stable(graph, d) == bool(enumerate_traces(graph, cfg)), d
 
     @pytest.mark.parametrize(
         "name,k,expected",
