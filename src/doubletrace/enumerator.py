@@ -6,8 +6,8 @@ per symmetry orbit.  Three mechanisms cooperate:
 
 * `feasible_neighbors` extends a prefix only along edges with unused
   capacity, respecting orientation constraints; `_kind_lookahead_ok`
-  then drops the extensions that complete a forbidden repetition at the
-  vertex just left behind.
+  then drops the one extension that may close a forbidden repetition
+  at the vertex just left behind.
 * `canonical_extension` keeps one smallest candidate per orbit of the
   prefix-fixing automorphisms, so symmetric subtrees are searched once.
 * `prune` tracks the symmetry alignments still tied with the prefix,
@@ -89,7 +89,12 @@ class PartialTrace:
     directions, per-vertex visit counts, and the transition structure
     already completed at each vertex (a visit's pair is complete once
     both its neighbours in the walk are known; the pairs at w_0 and at
-    the final vertex close only when the walk does).
+    the final vertex close only when the walk does).  A neighbour has
+    two pair slots at u, one per traversal of their edge, so the pairs
+    at u form paths and cycles over u's neighbours.  `mate[u][i]` is the
+    index of the far end of the path ending at adj[u][i] (i itself while
+    that neighbour is unpaired) and `span[u][i]` the path's number of
+    neighbours; both are kept up to date at path ends only.
 
     `closing` is the walk's last vertex w_{2m-1} once it is forced, else
     -1.  Vertex 0 has 2 deg(0) traversals: w_0 uses one, each later visit
@@ -134,8 +139,8 @@ class PartialTrace:
         "edge_count",
         "edge_from",
         "visits",
-        "tmask",
-        "pdeg",
+        "mate",
+        "span",
         "closing",
         "relabels",
         "forward",
@@ -152,11 +157,8 @@ class PartialTrace:
         self.edge_count = [0] * graph.m
         self.edge_from = [-1] * graph.m
         self.visits = [0] * graph.n
-        # Transition structure as bitmasks over neighbour indices: at each
-        # vertex u, tmask[u][i] holds the neighbours paired with adj[u][i]
-        # and pdeg[u][i] how many pair slots of adj[u][i] are used (0..2).
-        self.tmask: list[list[int]] = [[0] * len(a) for a in graph.adj]
-        self.pdeg: list[list[int]] = [[0] * len(a) for a in graph.adj]
+        self.mate: list[list[int]] = [list(range(len(a))) for a in graph.adj]
+        self.span: list[list[int]] = [[1] * len(a) for a in graph.adj]
         self.closing = -1
         self.relabels: list[tuple[int, ...]] = []
         self.forward: list[tuple[tuple[int, ...], int]] = []
@@ -209,16 +211,21 @@ class PartialTrace:
         idx = self.graph.nbr_index[u]
         ia = idx[seq[-2]]
         ib = idx[v]
-        tm = self.tmask[u]
-        old_a = tm[ia]
-        old_b = tm[ib]
-        tm[ia] = old_a | (1 << ib)
-        tm[ib] = tm[ib] | (1 << ia)
-        pd = self.pdeg[u]
-        pd[ia] += 1
-        pd[ib] += 1
+        mate = self.mate[u]
+        ea = mate[ia]
+        if ea == ib:
+            # The pair closes a path into a cycle, which nothing extends.
+            ea = eb = span_a = span_b = -1
+        else:
+            eb = mate[ib]
+            span = self.span[u]
+            span_a = span[ea]
+            span_b = span[eb]
+            mate[ea] = eb
+            mate[eb] = ea
+            span[ea] = span[eb] = span_a + span_b
         self._journal.append(
-            (e, first, ia, old_a, ib, old_b,
+            (e, first, ia, ib, ea, eb, span_a, span_b,
              self.relabels, self.forward, self.backward, self.anchored, self.smaller_witness)
         )
         seq.append(v)
@@ -234,8 +241,8 @@ class PartialTrace:
         """Undo the most recent push, the symmetries that its `prune`
         replaced included (not valid below the initial prefix)."""
         v = self.seq.pop()
-        (e, first, ia, old_a, ib, old_b, self.relabels, self.forward, self.backward,
-         self.anchored, self.smaller_witness) = self._journal.pop()
+        (e, first, ia, ib, ea, eb, span_a, span_b, self.relabels, self.forward,
+         self.backward, self.anchored, self.smaller_witness) = self._journal.pop()
         self.edge_count[e] -= 1
         if first:
             self.edge_from[e] = -1
@@ -243,12 +250,13 @@ class PartialTrace:
         u = self.seq[-1]
         if u == 0:
             self.closing = -1
-        tm = self.tmask[u]
-        tm[ia] = old_a
-        tm[ib] = old_b
-        pd = self.pdeg[u]
-        pd[ia] -= 1
-        pd[ib] -= 1
+        if ea >= 0:
+            mate = self.mate[u]
+            mate[ea] = ia
+            mate[eb] = ib
+            span = self.span[u]
+            span[ea] = span_a
+            span[eb] = span_b
 
     def __len__(self) -> int:
         return len(self.seq)
@@ -271,37 +279,24 @@ def _kind_lookahead_ok(partial: PartialTrace, a: int, u: int, v: int, bound: int
     filled, later visits can never connect it to the rest of the
     neighbourhood, so it survives as a component of the final structure.
     When it is also a proper subset of size <= bound, every completion
-    has a forbidden repetition at u and the branch is dead.  Every
-    component is saturated by its last pair, so each one is checked
-    exactly when it becomes final, at the start vertex too.  The two
-    pairs that only the closing step completes, {w_{2m-2}, w_0} at
-    w_{2m-1} and {w_{2m-1}, w_1} at w_0, are checked the same way by
-    `_accept`.
+    has a forbidden repetition at u and the branch is dead.  A component
+    is a path or a cycle (see `PartialTrace`), saturated exactly when it
+    is a cycle.  Both a and v have a free slot, so both end paths, and
+    the pair closes a cycle exactly when v is the far end of a's path,
+    `mate[u][idx a] == idx v`; that covers the self-pair {a, a} of an
+    unpaired a and a pair repeated at u.  So of the steps out of u only
+    the one to that far end can fail.  Every component is saturated by
+    its last pair, so each one is checked exactly when it becomes final,
+    at the start vertex too.  The two pairs that only the closing step
+    completes, {w_{2m-2}, w_0} at w_{2m-1} and {w_{2m-1}, w_1} at w_0,
+    are checked the same way by `_accept`.
     """
-    idx_u = partial.graph.nbr_index[u]
-    tm = partial.tmask[u]
-    comp = (1 << idx_u[a]) | (1 << idx_u[v])
-    frontier = comp
-    while frontier:
-        lb = frontier & -frontier
-        frontier ^= lb
-        new = tm[lb.bit_length() - 1] & ~comp
-        comp |= new
-        frontier |= new
-    full = (1 << len(tm)) - 1
-    if comp == full:
+    idx = partial.graph.nbr_index[u]
+    ia = idx[a]
+    if partial.mate[u][ia] != idx[v]:
         return True
-    size = comp.bit_count()
-    if size > bound:
-        return True
-    pd = partial.pdeg[u]
-    total = 2  # the pair completed by this step
-    c = comp
-    while c:
-        lb = c & -c
-        c ^= lb
-        total += pd[lb.bit_length() - 1]
-    return total != 2 * size
+    size = partial.span[u][ia]
+    return size > bound or size == len(idx)
 
 
 def feasible_neighbors(partial: PartialTrace, config: EnumerationConfig) -> list[int]:
@@ -539,13 +534,18 @@ def _descend(
     use_prune = search.use_prune
     use_canonical_extension = search.use_canonical_extension
     leaf = stop == search.length
+    adj = search.graph.adj
+    nbr_index = search.graph.nbr_index
 
     def expand() -> list[int]:
         cands = feasible_neighbors(partial, config)
         if bound and cands:
+            # Only the step to the far end of a's path can fail.
             a = seq[-2]
             u = seq[-1]
-            cands = [v for v in cands if _kind_lookahead_ok(partial, a, u, v, bound)]
+            v = adj[u][partial.mate[u][nbr_index[u][a]]]
+            if v in cands and not _kind_lookahead_ok(partial, a, u, v, bound):
+                cands.remove(v)
         if use_canonical_extension:
             cands = canonical_extension(partial, cands)
         return cands

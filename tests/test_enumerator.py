@@ -77,14 +77,17 @@ class TestPartialTrace:
         assert pt.edge_from[triangle.edge_id(1, 2)] == 1
         assert pt.edge_from[triangle.edge_id(0, 2)] == 2
         # Moving 0 -> 1 -> 2 completed the pair {0, 2} at vertex 1, and
-        # 1 -> 2 -> 0 the pair {1, 0} at vertex 2; the walk has not closed
-        # at vertex 0.
+        # 1 -> 2 -> 0 the pair {1, 0} at vertex 2: each a path of two
+        # neighbours, whose ends are mates.  The walk has not closed at
+        # vertex 0, so there each neighbour is still unpaired.
         idx = triangle.nbr_index[1]
-        assert pt.tmask[1][idx[0]] == 1 << idx[2]
-        assert pt.tmask[1][idx[2]] == 1 << idx[0]
-        assert pt.pdeg[1] == [1, 1]
-        assert pt.pdeg[2] == [1, 1]
-        assert pt.pdeg[0] == [0, 0]
+        assert pt.mate[1][idx[0]] == idx[2]
+        assert pt.mate[1][idx[2]] == idx[0]
+        assert pt.span[1] == [2, 2]
+        assert pt.mate[2] == [1, 0]
+        assert pt.span[2] == [2, 2]
+        assert pt.mate[0] == [0, 1]
+        assert pt.span[0] == [1, 1]
 
     @staticmethod
     def snapshot(pt):
@@ -93,8 +96,8 @@ class TestPartialTrace:
             list(pt.edge_count),
             list(pt.edge_from),
             list(pt.visits),
-            [list(x) for x in pt.tmask],
-            [list(x) for x in pt.pdeg],
+            [list(x) for x in pt.mate],
+            [list(x) for x in pt.span],
             pt.closing,
             list(pt.relabels),
             list(pt.forward),
@@ -112,6 +115,38 @@ class TestPartialTrace:
         pt.push(3)
         pt.pop()
         assert pt.closing == 3
+        pt.pop()
+        assert self.snapshot(pt) == before
+
+    def test_pop_undoes_a_path_join(self, k4):
+        # At vertex 1 the prefix 0,1,2,0,3,1 has the path 0-2; stepping
+        # on to 0 pairs its end 0 with the unpaired 3, so the new ends 2
+        # and 3 become mates over all three neighbours.
+        pt = build_partial(k4, (0, 1, 2, 0, 3, 1))
+        before = self.snapshot(pt)
+        assert pt.mate[1] == [1, 0, 2] and pt.span[1] == [2, 2, 1]
+        pt.push(0)
+        assert pt.mate[1][2] == 1 and pt.mate[1][1] == 2
+        assert pt.span[1][1] == pt.span[1][2] == 3
+        pt.pop()
+        assert self.snapshot(pt) == before
+
+    @pytest.mark.parametrize(
+        "fixture,prefix,v",
+        [("triangle", (0, 1), 0), ("k4", (0, 1, 2, 0, 3, 1, 0, 2, 1), 3)],
+        ids=["self-pair", "k4-path-2-0-3"],
+    )
+    def test_pop_after_a_cycle_close(self, request, fixture, prefix, v):
+        # The pair closes a path into a cycle at the vertex left behind:
+        # {0, 0} at 1, and {2, 3} joining the ends of the path 2-0-3 at 1.
+        # A cycle is never extended, so neither mate nor span changes.
+        pt = build_partial(request.getfixturevalue(fixture), prefix)
+        before = self.snapshot(pt)
+        u = pt.seq[-1]
+        idx = pt.graph.nbr_index[u]
+        assert pt.mate[u][idx[pt.seq[-2]]] == idx[v]
+        pt.push(v)
+        assert self.snapshot(pt)[4:6] == before[4:6]
         pt.pop()
         assert self.snapshot(pt) == before
 
@@ -714,6 +749,98 @@ def test_pendant_start_vertex_serial_and_parallel_match_oracle(graph):
         expected = canonical_orbit_representatives(graph, cfg)
         assert enumerate_traces(graph, cfg) == expected, cfg.describe()
         assert enumerate_traces(graph, cfg, jobs=2) == expected, cfg.describe()
+
+
+def reference_lookahead_ok(graph, seq, a, u, v, bound):
+    """`_kind_lookahead_ok` from `seq` alone: the transition multigraph at
+    u plus the pair {a, v}, then a search for the component of a."""
+    links = {x: [] for x in graph.adj[u]}
+    pairs = [(seq[i - 1], seq[i + 1]) for i in range(1, len(seq) - 1) if seq[i] == u]
+    for x, y in pairs + [(a, v)]:
+        links[x].append(y)
+        links[y].append(x)
+    component = {a}
+    todo = [a]
+    while todo:
+        for y in links[todo.pop()]:
+            if y not in component:
+                component.add(y)
+                todo.append(y)
+    saturated = all(len(links[x]) == 2 for x in component)
+    doomed = saturated and len(component) < graph.degree(u) and len(component) <= bound
+    return not doomed
+
+
+LOOKAHEAD_GRAPHS = {
+    "K4": named_graph("tetrahedron"),
+    "prism3": named_graph("prism", 3),
+    "pyramid4": named_graph("pyramid", 4),
+    "bipyramid3": named_graph("bipyramid", 3),
+    **PENDANT_START_GRAPHS,
+    **{f"random3-{i}": g for i, g in enumerate(random_graphs(3, 6))},
+}
+
+
+@pytest.mark.parametrize("graph", LOOKAHEAD_GRAPHS.values(), ids=LOOKAHEAD_GRAPHS.keys())
+def test_kind_lookahead_matches_reference_and_cuts_at_most_one_step(graph):
+    # Walk the whole search for bounds 1, 2 and n.  At every node every
+    # feasible step gets the reference's verdict, and at most one fails:
+    # the step to the far end of w_{p-2}'s path.  At the leaves the two
+    # closing pairs get it too, the one at w_0 with the pending w_1.
+    seen = set()
+    for cfg in (
+        EnumerationConfig(kind="stable", d=1),
+        EnumerationConfig(kind="stable", d=2),
+        EnumerationConfig(kind="strong"),
+    ):
+        search = make_search(graph, cfg)
+        bound = search.kind_bound
+        pt = search.root()
+        seq = pt.seq
+
+        def check(a, u, v):
+            got = _kind_lookahead_ok(pt, a, u, v, bound)
+            assert got == reference_lookahead_ok(graph, seq, a, u, v, bound), (seq, v, bound)
+            seen.add(got)
+            return got
+
+        def walk():
+            if len(seq) == search.length:
+                check(seq[-2], seq[-1], 0)
+                check(seq[-1], 0, 1)
+                return
+            cands = feasible_neighbors(pt, cfg)
+            kept = [v for v in cands if check(seq[-2], seq[-1], v)]
+            assert len(cands) - len(kept) <= 1, seq
+            for v in canonical_extension(pt, kept):
+                pt.push(v)
+                if pt.smaller_witness is None:
+                    walk()
+                pt.pop()
+
+        walk()
+    # A tree's double traces all run round it, so no step fails there.
+    assert seen == ({True, False} if graph.m >= graph.n else {True})
+
+
+@pytest.mark.parametrize(
+    "prefix,v,verdicts",
+    [
+        # The self-pair {1, 1} at 2 leaves 1 a repetition of its own.
+        ((0, 1, 2), 1, (False, False, False)),
+        # The pair {2, 0} at 1 repeats the one from 0,1,2: a repetition of
+        # two, allowed by stable(1) only.
+        ((0, 1, 2, 3, 0, 2, 1), 0, (True, False, False)),
+        # The pair {2, 3} at 1 joins the path 0-2 to 3, closing nothing.
+        ((0, 1, 2, 3, 0, 2, 1), 3, (True, True, True)),
+    ],
+    ids=["self-pair", "repeated-pair", "join"],
+)
+def test_kind_lookahead_on_k4(k4, prefix, v, verdicts):
+    pt = build_partial(k4, prefix)
+    for bound, expected in zip((1, 2, 4), verdicts):
+        assert _kind_lookahead_ok(pt, prefix[-2], prefix[-1], v, bound) is expected
+        assert reference_lookahead_ok(k4, prefix, prefix[-2], prefix[-1], v, bound) is expected
 
 
 class TestFeasibilityPredicates:
