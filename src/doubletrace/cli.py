@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
 
 from .automorphism import automorphisms
 from .enumerator import (
+    ANTIPARALLEL_MAX_EDGES,
     admits_antiparallel_strong,
     admits_parallel_strong,
     enumerate_traces,
@@ -161,7 +163,7 @@ def _feasibility_note(graph: Graph, config: EnumerationConfig, count: int) -> st
         return None
     if config.orientation == "parallel" and not admits_parallel_strong(graph):
         return "no parallel strong trace exists: some vertex has odd degree"
-    if config.orientation == "antiparallel" and graph.m <= 16:
+    if config.orientation == "antiparallel" and graph.m <= ANTIPARALLEL_MAX_EDGES:
         if not admits_antiparallel_strong(graph):
             return (
                 "no antiparallel strong trace exists: every spanning tree "
@@ -414,7 +416,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader stopped early, as `| head` does.  Nothing more can be
+        # written, so send the rest to devnull, where the final flush at
+        # exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -10,6 +10,8 @@ per symmetry orbit.  Three mechanisms cooperate:
   at the vertex just left behind.
 * `canonical_extension` keeps one smallest candidate per orbit of the
   prefix-fixing automorphisms, so symmetric subtrees are searched once.
+  The candidates it drops are exactly those that `prune` would give a
+  relabel witness, so it saves their pushes and cuts nothing more.
 * `prune` tracks the symmetry alignments still tied with the prefix,
   in the manner of orderly generation: an automorphism read forwards
   or backwards from some start s of the closed walk.  Only alignments
@@ -38,13 +40,6 @@ tails of the alignments still tied and the two alignments that start on
 that arc.  Every other step was checked on the way down, so each
 accepted leaf is a canonical double trace of the requested kind and
 orientation.
-
-Disabling `canonical_extension` and the `prune` cut yields a plainer
-search with the same output, only slower.  `prune` itself always runs,
-once per `PartialTrace.push`, since it keeps the relabel stabiliser
-that `canonical_extension` reads and the tied alignments that `_accept`
-reads; with `use_prune=False` a witness cuts nothing, but the prefix's
-descendants inherit it and `_accept` rejects their leaves.
 
 One loop, `_descend`, runs the search, in place on a single
 `PartialTrace`: the one search state, holding the prefix and the
@@ -80,10 +75,19 @@ from .traces import (  # noqa: F401
 # leave the other workers idle.
 FRONTIER_PER_JOB = 16
 
+# `admits_antiparallel_strong` enumerates spanning trees, so it refuses
+# graphs with more edges than this.
+ANTIPARALLEL_MAX_EDGES = 16
+
 
 class PartialTrace:
     """The search state: a prefix of a double trace and the symmetries
     still tied with it.
+
+    A new one holds the base prefix 0 1, which needs vertices 0 and 1
+    adjacent.  Tied with it are the relabellings fixing 0 and 1 and the
+    backward alignments starting on the arc (1, 0), which read 0 1 from
+    the root.
 
     The walk's bookkeeping: per-edge use counts and first traversal
     directions, per-vertex visit counts, and the transition structure
@@ -151,52 +155,36 @@ class PartialTrace:
         "_journal",
     )
 
-    def __init__(self, graph: Graph):
-        self.graph = graph
-        self.seq: list[int] = []
-        self.edge_count = [0] * graph.m
-        self.edge_from = [-1] * graph.m
-        self.visits = [0] * graph.n
-        self.mate: list[list[int]] = [list(range(len(a))) for a in graph.adj]
-        self.span: list[list[int]] = [[1] * len(a) for a in graph.adj]
-        self.closing = -1
-        self.relabels: list[tuple[int, ...]] = []
-        self.forward: list[tuple[tuple[int, ...], int]] = []
-        self.backward: list[tuple[tuple[int, ...], int]] = []
-        self.anchored: list[tuple[tuple[int, ...], int]] = []
-        self.smaller_witness: SymmetryElement | None = None
-        self._arc_index: tuple[tuple[tuple[tuple[int, ...], ...], ...], ...] = ()
-        self._journal: list[tuple] = []
-
-    @classmethod
-    def initial(cls, graph: Graph, aut: AutGroup) -> "PartialTrace":
-        """The base prefix 0 1 and the alignments tied with it.
-
-        Besides the relabellings fixing 0 and 1, the backward alignments
-        starting on the arc (1, 0) read 0 1 from the root.
-        """
+    def __init__(self, graph: Graph, aut: AutGroup):
         if graph.n < 2 or not graph.has_edge(0, 1):
             raise ValueError(
                 "enumeration needs vertices 0 and 1 adjacent; "
                 "relabel with normalize_base_edge first"
             )
-        pt = cls(graph)
-        pt.seq = [0, 1]
         e = graph.edge_id(0, 1)
-        pt.edge_count[e] = 1
-        pt.edge_from[e] = 0
-        pt.visits[0] = 1
-        pt.visits[1] = 1
-        if graph.degree(0) == 1:
-            pt.closing = 1
+        self.graph = graph
+        self.seq = [0, 1]
+        self.edge_count = [0] * graph.m
+        self.edge_count[e] = 1
+        self.edge_from = [-1] * graph.m
+        self.edge_from[e] = 0
+        self.visits = [0] * graph.n
+        self.visits[0] = self.visits[1] = 1
+        self.mate: list[list[int]] = [list(range(len(a))) for a in graph.adj]
+        self.span: list[list[int]] = [[1] * len(a) for a in graph.adj]
+        # A leaf 0 is left for the last time at the root.
+        self.closing = 1 if graph.degree(0) == 1 else -1
         n = aut.n
         rows: list[list[list[tuple[int, ...]]]] = [[[] for _ in range(n)] for _ in range(n)]
         for p in aut.elements:
             rows[p.index(0)][p.index(1)].append(p)
-        pt._arc_index = tuple(tuple(tuple(cell) for cell in row) for row in rows)
-        pt.relabels = list(pt._arc_index[0][1])
-        pt.backward = [(p, 1) for p in pt._arc_index[1][0]]
-        return pt
+        self._arc_index = tuple(tuple(tuple(cell) for cell in row) for row in rows)
+        self.relabels = list(self._arc_index[0][1])
+        self.forward: list[tuple[tuple[int, ...], int]] = []
+        self.backward = [(p, 1) for p in self._arc_index[1][0]]
+        self.anchored: list[tuple[tuple[int, ...], int]] = []
+        self.smaller_witness: SymmetryElement | None = None
+        self._journal: list[tuple] = []
 
     def push(self, v: int) -> None:
         """Append v (the caller guarantees feasibility) and `prune`."""
@@ -239,7 +227,7 @@ class PartialTrace:
 
     def pop(self) -> None:
         """Undo the most recent push, the symmetries that its `prune`
-        replaced included (not valid below the initial prefix)."""
+        replaced included (not valid below the base prefix)."""
         v = self.seq.pop()
         (e, first, ia, ib, ea, eb, span_a, span_b, self.relabels, self.forward,
          self.backward, self.anchored, self.smaller_witness) = self._journal.pop()
@@ -387,6 +375,8 @@ def prune(partial: PartialTrace) -> PartialTrace:
             if x == v:
                 kept.append(perm)
             elif x < v and witness is None:
+                # Only pushes from outside the search get here:
+                # `canonical_extension` never offers such a v.
                 witness = SymmetryElement(perm, 0, False)
         partial.relabels = kept
     open_backward = partial.backward
@@ -454,12 +444,6 @@ class _Search:
     length: int
     # `_kind_bound` of the config; 0 (kind any) means no kind check.
     kind_bound: int
-    use_prune: bool
-    use_canonical_extension: bool
-
-    def root(self) -> PartialTrace:
-        """The base-edge prefix, with the symmetries tied on it."""
-        return PartialTrace.initial(self.graph, self.aut)
 
 
 def _accept(search: _Search, partial: PartialTrace) -> bool:
@@ -531,8 +515,6 @@ def _descend(
     seq = partial.seq
     config = search.config
     bound = search.kind_bound
-    use_prune = search.use_prune
-    use_canonical_extension = search.use_canonical_extension
     leaf = stop == search.length
     adj = search.graph.adj
     nbr_index = search.graph.nbr_index
@@ -546,9 +528,7 @@ def _descend(
             v = adj[u][partial.mate[u][nbr_index[u][a]]]
             if v in cands and not _kind_lookahead_ok(partial, a, u, v, bound):
                 cands.remove(v)
-        if use_canonical_extension:
-            cands = canonical_extension(partial, cands)
-        return cands
+        return canonical_extension(partial, cands)
 
     if len(seq) == stop:
         if not leaf or _accept(search, partial):
@@ -566,7 +546,7 @@ def _descend(
             continue
         frame[1] = i + 1
         partial.push(cands[i])
-        if use_prune and partial.smaller_witness is not None:
+        if partial.smaller_witness is not None:
             partial.pop()
             continue
         if len(seq) == stop:
@@ -596,10 +576,10 @@ def _enumerate_subtrees(
     """Replay each frontier prefix from the root and search it to full length."""
     out: list[tuple[int, ...]] = []
     for prefix in prefixes:
-        partial = search.root()
+        partial = PartialTrace(search.graph, search.aut)
         for v in prefix[len(partial) :]:
             partial.push(v)
-            if search.use_prune and partial.smaller_witness is not None:
+            if partial.smaller_witness is not None:
                 raise AssertionError("replayed prefix was pruned")
         _descend(partial, search, search.length, out)
     return out
@@ -609,8 +589,6 @@ def enumerate_traces(
     graph: Graph,
     config: EnumerationConfig | None = None,
     *,
-    use_prune: bool = True,
-    use_canonical_extension: bool = True,
     jobs: int = 1,
     aut: AutGroup | None = None,
 ) -> list[tuple[int, ...]]:
@@ -618,26 +596,18 @@ def enumerate_traces(
 
     The graph must have its base edge normalized (vertices 0 and 1
     adjacent).  Every returned trace starts with 0, 1 and passes the full
-    double-trace, kind, orientation and canonicity predicates.  The two
-    `use_*` switches disable individual search accelerations; each leaves
-    the result unchanged and exists for testing and diagnostics.  With
+    double-trace, kind, orientation and canonicity predicates.  With
     `jobs > 1` the subtrees below one frontier of the same search are
-    dealt out to that many worker processes.
+    dealt out to that many worker processes; the result is the same.
+    `aut` may pass in the graph's automorphism group if it is already
+    known.
     """
     if config is None:
         config = EnumerationConfig()
     if aut is None:
         aut = automorphisms(graph)
-    search = _Search(
-        graph,
-        config,
-        aut,
-        2 * graph.m,
-        _kind_bound(graph, config),
-        use_prune,
-        use_canonical_extension,
-    )
-    partial = search.root()
+    search = _Search(graph, config, aut, 2 * graph.m, _kind_bound(graph, config))
+    partial = PartialTrace(graph, aut)
     if jobs > 1:
         return _enumerate_parallel(partial, search, jobs)
     out: list[tuple[int, ...]] = []
@@ -676,30 +646,19 @@ def admits_parallel_strong(graph: Graph) -> bool:
     return all(graph.degree(v) % 2 == 0 for v in range(graph.n))
 
 
-def admits_d_stable(graph: Graph, d: int) -> bool:
-    """A d-stable trace exists for every d >= 1.
-
-    A repetition is a nonempty proper subset of a neighbourhood, so a
-    strong trace, which has none, is d-stable for every d, and every
-    connected graph has a strong trace (Fijavz, Pisanski and Rus, 2014).
-    """
-    if d < 1:
-        raise ValueError(f"d must be positive, got {d}")
-    return True
-
-
-def admits_antiparallel_strong(graph: Graph, max_edges: int = 16) -> bool:
+def admits_antiparallel_strong(graph: Graph) -> bool:
     """An antiparallel strong trace exists iff some spanning tree leaves a
     co-tree whose components all have an even number of edges.
 
-    Exhaustive over spanning trees, so refuses graphs beyond max_edges.
+    Exhaustive over spanning trees, so refuses graphs with more than
+    `ANTIPARALLEL_MAX_EDGES` edges.
     """
     from itertools import combinations
 
-    if graph.m > max_edges:
+    if graph.m > ANTIPARALLEL_MAX_EDGES:
         raise SizeGuardError(
             f"antiparallel feasibility check refuses graphs with more than "
-            f"{max_edges} edges (got {graph.m})"
+            f"{ANTIPARALLEL_MAX_EDGES} edges (got {graph.m})"
         )
     n = graph.n
     cotree_size = graph.m - (n - 1)

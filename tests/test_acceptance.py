@@ -37,6 +37,7 @@ from doubletrace import (
     transition_components,
     verify_against_oracle,
 )
+from doubletrace.enumerator import ANTIPARALLEL_MAX_EDGES
 from doubletrace.oracle import _raw_double_traces, _repetition_profiles
 
 from conftest import run_slow
@@ -240,18 +241,6 @@ def _component_method_matches_subset_method():
             assert best == expected, f"{w}: component {best} != subset {expected}"
 
 
-def _accelerations_do_not_change_output():
-    for graph in (named_graph("tetrahedron"), named_graph("prism", 3)):
-        for cfg in (EnumerationConfig(), EnumerationConfig(kind="strong")):
-            reference = enumerate_traces(graph, cfg)
-            assert (
-                enumerate_traces(graph, cfg, use_prune=False, use_canonical_extension=False)
-                == reference
-            )
-            assert enumerate_traces(graph, cfg, use_prune=False) == reference
-            assert enumerate_traces(graph, cfg, use_canonical_extension=False) == reference
-
-
 def _counts_invariant_under_relabeling():
     rng = random.Random(4)
     k4 = named_graph("tetrahedron")
@@ -267,12 +256,11 @@ def _counts_invariant_under_relabeling():
 def test_structural_invariants():
     with summary(
         "structural invariants: output predicates, symmetry invariance, "
-        "repetition cross-check, acceleration equality, relabeling invariance"
+        "repetition cross-check, relabeling invariance"
     ):
         _outputs_pass_predicates()
         _predicates_invariant_under_symmetry()
         _component_method_matches_subset_method()
-        _accelerations_do_not_change_output()
         _counts_invariant_under_relabeling()
 
 
@@ -301,7 +289,7 @@ def test_feasibility_predicates_match_counts():
         ]
         for spec in antiparallel_specs:
             graph = graph_of(spec)
-            assert graph.m <= 16
+            assert graph.m <= ANTIPARALLEL_MAX_EDGES
             count = len(
                 enumerate_traces(
                     graph, EnumerationConfig(kind="strong", orientation="antiparallel")

@@ -382,3 +382,24 @@ class TestConsoleScript:
             proc = subprocess.run(command, capture_output=True, text=True, env=env)
             assert proc.returncode == 0, proc.stderr
             assert "# count: 3" in proc.stdout
+
+    def test_reader_closing_early_is_not_an_error(self):
+        # As with `| head -1`: the reader takes one line and closes the pipe
+        # while the command still has about 170 kB of traces to write.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "doubletrace.cli", "enumerate", "--named", "cube"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        assert proc.stdout.readline().startswith("# graph: cube")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == EXIT_OK, err
+        assert "internal error" not in err

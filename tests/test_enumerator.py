@@ -10,7 +10,6 @@ from doubletrace import (
     SizeGuardError,
     SymmetryElement,
     admits_antiparallel_strong,
-    admits_d_stable,
     admits_parallel_strong,
     apply_symmetry,
     automorphisms,
@@ -26,6 +25,7 @@ from doubletrace import (
     satisfies_kind,
     satisfies_orientation,
 )
+from doubletrace import enumerator
 from doubletrace.enumerator import (
     _accept,
     _enumerate_subtrees,
@@ -40,31 +40,23 @@ K4_STRONG = (0, 1, 2, 0, 1, 3, 0, 2, 3, 1, 2, 3)
 
 def build_partial(graph, seq):
     """Partial trace for an explicit prefix (no feasibility checking)."""
-    pt = PartialTrace.initial(graph, automorphisms(graph))
+    pt = PartialTrace(graph, automorphisms(graph))
     assert tuple(seq[:2]) == (0, 1)
     for v in seq[2:]:
         pt.push(v)
     return pt
 
 
-def make_search(graph, config, *, use_prune=True):
-    """The search record enumerate_traces builds, with every acceleration on."""
-    return _Search(
-        graph,
-        config,
-        automorphisms(graph),
-        2 * graph.m,
-        _kind_bound(graph, config),
-        use_prune,
-        True,
-    )
+def make_search(graph, config):
+    """The search record enumerate_traces builds."""
+    return _Search(graph, config, automorphisms(graph), 2 * graph.m, _kind_bound(graph, config))
 
 
 class TestPartialTrace:
     def test_initial_requires_base_edge(self):
         g = Graph(3, [(0, 2), (1, 2)])
         with pytest.raises(ValueError, match="adjacent"):
-            PartialTrace.initial(g, automorphisms(g))
+            PartialTrace(g, automorphisms(g))
 
     def test_push_updates_bookkeeping(self, triangle):
         pt = build_partial(triangle, (0, 1, 2, 0))
@@ -281,7 +273,7 @@ class TestFeasibleNeighbors:
         for orientation, accepted in (("any", True), ("antiparallel", True), ("parallel", False)):
             cfg = EnumerationConfig(orientation=orientation)
             search = make_search(triangle, cfg)
-            pt = search.root()
+            pt = PartialTrace(search.graph, search.aut)
             for v in prefix[2:]:
                 pt.push(v)
             assert feasible_neighbors(pt, cfg) == []
@@ -297,7 +289,7 @@ class TestClosingPairs:
         """The search state for `trace`, and whether every in-search
         kind lookahead passed on the way."""
         search = make_search(graph, cfg)
-        pt = search.root()
+        pt = PartialTrace(search.graph, search.aut)
         passed = True
         for v in trace[2:]:
             passed = passed and _kind_lookahead_ok(pt, pt.seq[-2], pt.seq[-1], v, search.kind_bound)
@@ -448,7 +440,7 @@ class TestRetainedSymmetries:
         # prefix 0,1,2,1, where prune finds a witness.
         graph = request.getfixturevalue(fixture)
         aut = automorphisms(graph)
-        pt = PartialTrace.initial(graph, aut)
+        pt = PartialTrace(graph, aut)
         for v in prefix[2:]:
             pt.push(v)
             expected = {p for p in aut.elements if all(p[w] == w for w in pt.seq)}
@@ -463,18 +455,11 @@ class TestReplay:
         with pytest.raises(AssertionError, match="replayed prefix was pruned"):
             _enumerate_subtrees(search, [(0, 1, 2, 1)])
 
-    def test_witnessed_prefix_replays_without_prune(self, triangle):
-        # Without the cut the frontier may hold it; the witness is
-        # inherited, so its subtree yields nothing.
-        search = make_search(triangle, EnumerationConfig(), use_prune=False)
-        assert _enumerate_subtrees(search, [(0, 1, 2, 1)]) == []
-        assert _enumerate_subtrees(search, [(0, 1, 2, 0)]) == [(0, 1, 2, 0, 1, 2)]
-
 
 class TestExtendFeasibly:
     def test_frontier_in_search_order(self, k4):
         search = make_search(k4, EnumerationConfig(kind="strong"))
-        pt = search.root()
+        pt = PartialTrace(search.graph, search.aut)
         # The kind lookahead cuts 0,1,0: pairing 0 with itself at vertex 1
         # fills both pair slots of 0 there, leaving {0} a repetition.
         assert extend_feasibly(pt, search, 3) == [(0, 1, 2)]
@@ -490,24 +475,17 @@ class TestExtendFeasibly:
         # From 0,1,2 the only extensions are 0 and 1, and 0,1,2,1 is
         # killed by its reversal witness.
         search = make_search(triangle, EnumerationConfig())
-        pt = search.root()
+        pt = PartialTrace(search.graph, search.aut)
         pt.push(2)
         assert extend_feasibly(pt, search, 4) == [(0, 1, 2, 0)]
         assert pt.seq == [0, 1, 2]
 
-    def test_prune_disabled_keeps_them(self, triangle):
-        search = make_search(triangle, EnumerationConfig(), use_prune=False)
-        pt = search.root()
-        pt.push(2)
-        assert extend_feasibly(pt, search, 4) == [(0, 1, 2, 0), (0, 1, 2, 1)]
 
-
-# Frontier sizes at depths 3 .. 2m - 1 of the full search (every
-# acceleration on).  A change to any cut that alters the search tree
-# shows up here.  The second list holds the widths from before the
-# search anchored the walk's end on the forced closing vertex; a cut can
-# only remove prefixes, so no width may exceed its old value at the same
-# depth.
+# Frontier sizes at depths 3 .. 2m - 1 of the full search.  A change to
+# any cut that alters the search tree shows up here.  The second list
+# holds the widths from before the search anchored the walk's end on
+# the forced closing vertex; a cut can only remove prefixes, so no width
+# may exceed its old value at the same depth.
 SEARCH_TREE_WIDTHS = [
     (
         "tetrahedron",
@@ -561,7 +539,7 @@ SEARCH_TREE_WIDTHS = [
 def test_search_tree_widths_are_pinned(name, k, cfg, widths, widths_before):
     graph = named_graph(name, k)
     search = make_search(graph, cfg)
-    pt = search.root()
+    pt = PartialTrace(search.graph, search.aut)
     got = [len(extend_feasibly(pt, search, d)) for d in range(3, 2 * graph.m)]
     assert got == widths
     assert len(got) == len(widths_before)
@@ -624,23 +602,6 @@ class TestEnumerateTraces:
             got = enumerate_traces(triangle, EnumerationConfig(kind="stable", d=3))
         assert got == enumerate_traces(triangle, EnumerationConfig(kind="strong")) != []
 
-    @pytest.mark.parametrize(
-        "flags",
-        [
-            {"use_prune": False},
-            {"use_canonical_extension": False},
-            {"use_prune": False, "use_canonical_extension": False},
-        ],
-    )
-    def test_disabling_accelerations_keeps_output(self, flags):
-        for graph in (named_graph("tetrahedron"), named_graph("prism", 3)):
-            for cfg in (
-                EnumerationConfig(),
-                EnumerationConfig(kind="strong"),
-                EnumerationConfig(kind="stable", d=1, orientation="antiparallel"),
-            ):
-                assert enumerate_traces(graph, cfg, **flags) == enumerate_traces(graph, cfg)
-
     def test_parallel_jobs_match_serial(self, prism3):
         cfg = EnumerationConfig(kind="strong")
         assert enumerate_traces(prism3, cfg, jobs=2) == enumerate_traces(prism3, cfg)
@@ -694,11 +655,11 @@ LEAF_CHECK_GRAPHS = [
 @pytest.mark.parametrize("graph", LEAF_CHECK_GRAPHS)
 def test_leaf_check_matches_is_canonical(graph):
     # Replay every double trace starting 0 1 through `push` (and so
-    # `prune`) and `_accept`, past any witness, as the search does with
-    # use_prune=False.  Sorted traces share prefixes, so each step is
-    # pushed once per subtree.
-    search = make_search(graph, EnumerationConfig(), use_prune=False)
-    pt = search.root()
+    # `prune`) and `_accept`, also past a witness, where the search would
+    # have stopped.  Sorted traces share prefixes, so each step is pushed
+    # once per subtree.
+    search = make_search(graph, EnumerationConfig())
+    pt = PartialTrace(search.graph, search.aut)
     verdicts = set()
     for w in sorted(brute_enumerate(graph, EnumerationConfig())):
         common = 2
@@ -751,6 +712,45 @@ def test_pendant_start_vertex_serial_and_parallel_match_oracle(graph):
         assert enumerate_traces(graph, cfg, jobs=2) == expected, cfg.describe()
 
 
+def test_canonical_extension_drops_exactly_the_relabel_witnesses():
+    # Walk whole searches for every config.  At every node push each
+    # candidate that passed the kind lookahead: `prune` gives a new
+    # relabel witness (start 0, forwards) to exactly those that
+    # `canonical_extension` drops, so dropping them cuts nothing more.
+    graphs = [named_graph("tetrahedron"), *PENDANT_START_GRAPHS.values(), random_graphs(3, 6)[1]]
+    dropped = 0
+    for graph in graphs:
+        for cfg in ALL_CONFIGS:
+            search = make_search(graph, cfg)
+            pt = PartialTrace(search.graph, search.aut)
+            seq = pt.seq
+            bound = search.kind_bound
+
+            def walk():
+                nonlocal dropped
+                if len(seq) == search.length:
+                    return
+                cands = [
+                    v
+                    for v in feasible_neighbors(pt, cfg)
+                    if not bound or _kind_lookahead_ok(pt, seq[-2], seq[-1], v, bound)
+                ]
+                kept = canonical_extension(pt, cands)
+                dropped += len(cands) - len(kept)
+                for v in cands:
+                    pt.push(v)
+                    w = pt.smaller_witness
+                    relabel_witness = w is not None and w == SymmetryElement(w.perm, 0, False)
+                    assert relabel_witness is (v not in kept), (seq, cfg.describe())
+                    if w is None:
+                        walk()
+                    pt.pop()
+
+            walk()
+    # Not vacuous: some candidates are dropped.
+    assert dropped > 0
+
+
 def reference_lookahead_ok(graph, seq, a, u, v, bound):
     """`_kind_lookahead_ok` from `seq` alone: the transition multigraph at
     u plus the pair {a, v}, then a search for the component of a."""
@@ -795,7 +795,7 @@ def test_kind_lookahead_matches_reference_and_cuts_at_most_one_step(graph):
     ):
         search = make_search(graph, cfg)
         bound = search.kind_bound
-        pt = search.root()
+        pt = PartialTrace(search.graph, search.aut)
         seq = pt.seq
 
         def check(a, u, v):
@@ -850,14 +850,6 @@ class TestFeasibilityPredicates:
         assert not admits_parallel_strong(named_graph("tetrahedron"))
         assert not admits_parallel_strong(named_graph("cube"))
 
-    def test_d_stable_for_every_d(self, k4):
-        # A strong trace is d-stable for every d.
-        assert admits_d_stable(k4, 1)
-        assert admits_d_stable(k4, 3)
-        assert admits_d_stable(k4, 4)
-        with pytest.raises(ValueError):
-            admits_d_stable(k4, 0)
-
     @pytest.mark.parametrize(
         "graph",
         [Graph(3, [(0, 1), (0, 2), (1, 2)]), named_graph("tetrahedron")]
@@ -865,9 +857,10 @@ class TestFeasibilityPredicates:
         ids=["triangle", "K4"] + list(PENDANT_START_GRAPHS.keys()),
     )
     def test_d_stable_matches_enumeration(self, graph):
+        # A strong trace has no repetition, so it is d-stable for every d,
+        # and every connected graph has one (Fijavz, Pisanski and Rus, 2014).
         for d in range(1, graph.n + 2):
-            cfg = EnumerationConfig(kind="stable", d=d)
-            assert admits_d_stable(graph, d) == bool(enumerate_traces(graph, cfg)), d
+            assert enumerate_traces(graph, EnumerationConfig(kind="stable", d=d)), d
 
     @pytest.mark.parametrize(
         "name,k,expected",
@@ -889,8 +882,9 @@ class TestFeasibilityPredicates:
         # The co-tree of any spanning tree is a single edge: always odd.
         assert not admits_antiparallel_strong(triangle)
 
-    def test_antiparallel_size_guard(self):
+    def test_antiparallel_size_guard(self, monkeypatch):
         with pytest.raises(SizeGuardError, match="refuses"):
             admits_antiparallel_strong(named_graph("prism", 7))
-        # An explicit larger budget lifts the refusal.
-        assert admits_antiparallel_strong(named_graph("prism", 7), max_edges=21)
+        # A larger budget lifts the refusal.
+        monkeypatch.setattr(enumerator, "ANTIPARALLEL_MAX_EDGES", 21)
+        assert admits_antiparallel_strong(named_graph("prism", 7))
