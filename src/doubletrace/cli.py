@@ -94,6 +94,15 @@ def _load_graph(args: argparse.Namespace) -> LoadedGraph:
     return LoadedGraph(normalized, label, relabeling)
 
 
+def _write_file(path: str, text: str) -> None:
+    """Write `text` and a newline to `path`; failing to is a usage error."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text + "\n")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from None
+
+
 def _config_from(args: argparse.Namespace) -> EnumerationConfig:
     kind = args.kind
     d = getattr(args, "d", None)
@@ -198,8 +207,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.format == "json":
         text = json.dumps(payload, indent=2)
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
+            _write_file(args.out, text)
             print(f"# wrote {args.out}")
         else:
             print(text)
@@ -214,8 +222,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     report = _report_lines(loaded, extra)
     body = [] if args.count_only else [format_trace(t) for t in traces]
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(report + body) + "\n")
+        _write_file(args.out, "\n".join(report + body))
         print("\n".join(report))
         print(f"# wrote {args.out}")
     else:
@@ -281,9 +288,7 @@ def cmd_orbits(args: argparse.Namespace) -> int:
     aut = automorphisms(graph)
     report = orbit_partition(traces, aut, args.subgroup)
     if args.dot:
-        dot = emit_orbit_graph(traces, aut, args.subgroup)
-        with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(dot + "\n")
+        _write_file(args.dot, emit_orbit_graph(traces, aut, args.subgroup))
     if args.format == "json":
         print(json.dumps(report.to_json(), indent=2))
     else:

@@ -8,10 +8,6 @@ per symmetry orbit.  Three mechanisms cooperate:
   capacity, respecting orientation constraints; `_kind_lookahead_ok`
   then drops the one extension that may close a forbidden repetition
   at the vertex just left behind.
-* `canonical_extension` keeps one smallest candidate per orbit of the
-  prefix-fixing automorphisms, so symmetric subtrees are searched once.
-  The candidates it drops are exactly those that `prune` would give a
-  relabel witness, so it saves their pushes and cuts nothing more.
 * `prune` tracks the symmetry alignments still tied with the prefix,
   in the manner of orderly generation: an automorphism read forwards
   or backwards from some start s of the closed walk.  Only alignments
@@ -20,7 +16,12 @@ per symmetry orbit.  Three mechanisms cooperate:
   step; a backward one is decided as soon as its start is pushed, on
   w_s, ..., w_0.  An image strictly smaller on the prefix is a witness
   that no completion can be canonical, so the branch dies; a larger
-  one is dropped; a tie keeps the alignment.
+  one is dropped; a tie keeps the alignment.  The forward alignments
+  tied at start 0 are the prefix stabiliser, less the identity.
+* `canonical_extension` keeps one smallest candidate per orbit of that
+  stabiliser, so symmetric subtrees are searched once.  The candidates
+  it drops are exactly those to which `prune` would give a witness at
+  start 0, so it saves their pushes and cuts nothing more.
 
 The walk's end is known early.  When it leaves vertex 0 for the last
 time, the one traversal left at 0 is the closing step, so w_{2m-1} is
@@ -85,20 +86,22 @@ class PartialTrace:
     still tied with it.
 
     A new one holds the base prefix 0 1, which needs vertices 0 and 1
-    adjacent.  Tied with it are the relabellings fixing 0 and 1 and the
+    adjacent.  Tied with it are the forward alignments at start 0 of the
+    automorphisms other than the identity fixing 0 and 1, and the
     backward alignments starting on the arc (1, 0), which read 0 1 from
     the root.
 
     The walk's bookkeeping: per-edge use counts and first traversal
-    directions, per-vertex visit counts, and the transition structure
-    already completed at each vertex (a visit's pair is complete once
-    both its neighbours in the walk are known; the pairs at w_0 and at
-    the final vertex close only when the walk does).  A neighbour has
-    two pair slots at u, one per traversal of their edge, so the pairs
-    at u form paths and cycles over u's neighbours.  `mate[u][i]` is the
-    index of the far end of the path ending at adj[u][i] (i itself while
-    that neighbour is unpaired) and `span[u][i]` the path's number of
-    neighbours; both are kept up to date at path ends only.
+    directions, the number of visits to vertex 0 (`zero_visits`), and the
+    transition structure already completed at each vertex (a visit's
+    pair is complete once both its neighbours in the walk are known; the
+    pairs at w_0 and at the final vertex close only when the walk does).
+    A neighbour has two pair slots at u, one per traversal of their
+    edge, so the pairs at u form paths and cycles over u's neighbours.
+    `mate[u][i]` is the index of the far end of the path ending at
+    adj[u][i] (i itself while that neighbour is unpaired) and
+    `span[u][i]` the path's number of neighbours; both are kept up to
+    date at path ends only.
 
     `closing` is the walk's last vertex w_{2m-1} once it is forced, else
     -1.  Vertex 0 has 2 deg(0) traversals: w_0 uses one, each later visit
@@ -113,13 +116,13 @@ class PartialTrace:
     closed walk is read from w_s forwards or backwards and relabelled.
     The image can precede a walk starting 0 1 only if its first arc maps
     onto (0, 1), so `_arc_index[a][b]` holds the automorphisms mapping
-    the arc (a, b) onto (0, 1), and only those are ever compared.  Four
+    the arc (a, b) onto (0, 1), and only those are ever compared.  Three
     sets stay tied with the prefix:
 
-    * `relabels`, the forward alignments at start 0: the pointwise
-      stabiliser of the prefix, always holding the identity;
-    * `forward`, the (perm, s) pairs for forward alignments at starts
-      s >= 1 whose image matches the prefix so far;
+    * `forward`, the (perm, s) pairs for forward alignments whose image
+      matches the prefix so far.  Those at start 0 are the pointwise
+      stabiliser of the prefix less the identity, and they head the list:
+      `prune` keeps its order and appends new alignments at starts s >= 1;
     * `backward`, the (perm, s) pairs for backward alignments whose image
       matched all of w_s, ..., w_0; the rest of that image reads the
       walk's end, w_{2m-1} first;
@@ -128,10 +131,10 @@ class PartialTrace:
       vertex w_{2m-1} was forced.  The rest waits for the leaf.
 
     `smaller_witness` is an alignment whose image is strictly smaller:
-    no completion of the prefix is canonical, and every descendant
-    inherits it.
+    no completion of the prefix is canonical, nothing more is tracked,
+    and every descendant inherits it.
 
-    `prune` replaces these five fields and never changes a list in them,
+    `prune` replaces these four fields and never changes a list in them,
     so the journal entry of a push keeps their previous values by
     reference, next to the walk bookkeeping it changed, and `pop`
     restores the prefix and its symmetries together.
@@ -142,11 +145,10 @@ class PartialTrace:
         "seq",
         "edge_count",
         "edge_from",
-        "visits",
+        "zero_visits",
         "mate",
         "span",
         "closing",
-        "relabels",
         "forward",
         "backward",
         "anchored",
@@ -168,8 +170,7 @@ class PartialTrace:
         self.edge_count[e] = 1
         self.edge_from = [-1] * graph.m
         self.edge_from[e] = 0
-        self.visits = [0] * graph.n
-        self.visits[0] = self.visits[1] = 1
+        self.zero_visits = 1
         self.mate: list[list[int]] = [list(range(len(a))) for a in graph.adj]
         self.span: list[list[int]] = [[1] * len(a) for a in graph.adj]
         # A leaf 0 is left for the last time at the root.
@@ -179,8 +180,8 @@ class PartialTrace:
         for p in aut.elements:
             rows[p.index(0)][p.index(1)].append(p)
         self._arc_index = tuple(tuple(tuple(cell) for cell in row) for row in rows)
-        self.relabels = list(self._arc_index[0][1])
-        self.forward: list[tuple[tuple[int, ...], int]] = []
+        identity = tuple(range(n))
+        self.forward = [(p, 0) for p in self._arc_index[0][1] if p != identity]
         self.backward = [(p, 1) for p in self._arc_index[1][0]]
         self.anchored: list[tuple[tuple[int, ...], int]] = []
         self.smaller_witness: SymmetryElement | None = None
@@ -195,7 +196,8 @@ class PartialTrace:
         if first:
             self.edge_from[e] = u
         self.edge_count[e] += 1
-        self.visits[v] += 1
+        if v == 0:
+            self.zero_visits += 1
         idx = self.graph.nbr_index[u]
         ia = idx[seq[-2]]
         ib = idx[v]
@@ -214,10 +216,10 @@ class PartialTrace:
             span[ea] = span[eb] = span_a + span_b
         self._journal.append(
             (e, first, ia, ib, ea, eb, span_a, span_b,
-             self.relabels, self.forward, self.backward, self.anchored, self.smaller_witness)
+             self.forward, self.backward, self.anchored, self.smaller_witness)
         )
         seq.append(v)
-        if u == 0 and self.visits[0] == len(self.graph.adj[0]):
+        if u == 0 and self.zero_visits == len(self.graph.adj[0]):
             eid_0 = self.graph.eid_row[0]
             for c in self.graph.adj[0]:
                 if self.edge_count[eid_0[c]] < 2:
@@ -229,12 +231,13 @@ class PartialTrace:
         """Undo the most recent push, the symmetries that its `prune`
         replaced included (not valid below the base prefix)."""
         v = self.seq.pop()
-        (e, first, ia, ib, ea, eb, span_a, span_b, self.relabels, self.forward,
+        (e, first, ia, ib, ea, eb, span_a, span_b, self.forward,
          self.backward, self.anchored, self.smaller_witness) = self._journal.pop()
         self.edge_count[e] -= 1
         if first:
             self.edge_from[e] = -1
-        self.visits[v] -= 1
+        if v == 0:
+            self.zero_visits -= 1
         u = self.seq[-1]
         if u == 0:
             self.closing = -1
@@ -326,9 +329,10 @@ def feasible_neighbors(partial: PartialTrace, config: EnumerationConfig) -> list
 
 
 def canonical_extension(partial: PartialTrace, candidates: Sequence[int]) -> list[int]:
-    """One smallest candidate per orbit of the prefix-fixing relabellings."""
-    relabels = partial.relabels
-    if len(relabels) <= 1 or len(candidates) <= 1:
+    """One smallest candidate per orbit of the prefix stabiliser, whose
+    elements other than the identity are the start-0 head of `forward`."""
+    forward = partial.forward
+    if not forward or forward[0][1] or len(candidates) <= 1:
         return sorted(candidates)
     remaining = set(candidates)
     out = []
@@ -336,8 +340,10 @@ def canonical_extension(partial: PartialTrace, candidates: Sequence[int]) -> lis
         if v not in remaining:
             continue
         out.append(v)
-        for p in relabels:
-            remaining.discard(p[v])
+        for perm, s in forward:
+            if s:
+                break
+            remaining.discard(perm[v])
     return out
 
 
@@ -345,40 +351,38 @@ def prune(partial: PartialTrace) -> PartialTrace:
     """Advance the tied alignments over the last vertex of the prefix.
 
     `push` calls this once per step, and `pop` restores what it replaced.
-    Pushing v = w_{p-1} after u = w_{p-2} narrows the relabel stabiliser
-    to the relabellings fixing v; once the closing vertex c is forced,
-    compares perm[c] with w_{s+1} for every backward alignment tied on
-    w_s, ..., w_0 that has not read it yet (all of them at the step that
-    forces c, afterwards those tied one step earlier); decides the
-    backward alignments that start at v on the arc (v, u), whose image
-    window w_{p-1}, ..., w_0 is now complete; advances every tied forward
-    alignment by one comparison; and lets in the forward alignments that
-    start on the arc (u, v), which tie on it.  An alignment whose image
-    is larger is dropped, a tie keeps it, and a smaller image is recorded
-    as `smaller_witness`, deciding in that order.  Below a witness only
-    the relabel stabiliser is still tracked, and the witness is passed on.
-    Returns `partial`.
+    Pushing v = w_{p-1} after u = w_{p-2} decides, in this order: each
+    tied forward alignment by one more comparison, perm[v] against
+    w_{p-1-s}, the prefix stabiliser at start 0 first; once the closing
+    vertex c is forced, each backward alignment tied on w_s, ..., w_0
+    that has not read it yet by perm[c] against w_{s+1} (all of them at
+    the step that forces c, afterwards those tied one step earlier); and
+    the backward alignments that start at v on the arc (v, u), whose
+    image window w_{p-1}, ..., w_0 is now complete.  Then the forward
+    alignments that start on the arc (u, v), which tie on it, join.  A
+    larger image drops its alignment, a tie keeps it, and the first
+    smaller one is recorded as `smaller_witness`, after which nothing is
+    tracked: a push below a witness only passes it on.  Returns `partial`.
     """
+    if partial.smaller_witness is not None:
+        return partial
     seq = partial.seq
     p = len(seq)
     v = seq[-1]
     u = seq[-2]
     length = 2 * partial.graph.m
     arc_index = partial._arc_index
-    witness = partial.smaller_witness
-    relabels = partial.relabels
-    if len(relabels) > 1:
-        # The identity alone fixes every vertex and is never smaller.
-        kept = []
-        for perm in relabels:
-            x = perm[v]
-            if x == v:
-                kept.append(perm)
-            elif x < v and witness is None:
-                # Only pushes from outside the search get here:
-                # `canonical_extension` never offers such a v.
-                witness = SymmetryElement(perm, 0, False)
-        partial.relabels = kept
+    witness = None
+    forward = []
+    for alignment in partial.forward:
+        perm, s = alignment
+        a = perm[v]
+        b = seq[p - 1 - s]
+        if a == b:
+            forward.append(alignment)
+        elif a < b:
+            witness = SymmetryElement(perm, s, False)
+            break
     open_backward = partial.backward
     anchored = partial.anchored
     closing = partial.closing
@@ -399,7 +403,6 @@ def prune(partial: PartialTrace) -> PartialTrace:
         if tied:
             anchored = anchored + tied
     backward = []
-    forward = []
     if witness is None:
         for perm in arc_index[v][u]:
             for j in range(2, p):
@@ -412,16 +415,6 @@ def prune(partial: PartialTrace) -> PartialTrace:
             else:
                 backward.append((perm, p - 1))
             if witness is not None:
-                break
-    if witness is None:
-        for alignment in partial.forward:
-            perm, s = alignment
-            a = perm[v]
-            b = seq[p - 1 - s]
-            if a == b:
-                forward.append(alignment)
-            elif a < b:
-                witness = SymmetryElement(perm, s, False)
                 break
     if witness is not None:
         partial.forward = partial.backward = partial.anchored = []

@@ -30,7 +30,7 @@ class DisconnectedGraphError(ValueError):
 class Graph:
     """Immutable simple connected undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "m", "edges", "adj", "_edge_ids", "eid_row", "nbr_index")
+    __slots__ = ("n", "m", "edges", "adj", "eid_row", "nbr_index")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
@@ -54,20 +54,16 @@ class Graph:
         self.m = len(normalized)
         self.edges: tuple[tuple[int, int], ...] = tuple(normalized)
         nbrs: list[list[int]] = [[] for _ in range(n)]
-        edge_ids: dict[tuple[int, int], int] = {}
-        for i, (u, v) in enumerate(self.edges):
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-            edge_ids[(u, v)] = i
-            edge_ids[(v, u)] = i
-        self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in nbrs)
-        self._edge_ids = edge_ids
         # Flat lookup tables for the enumeration inner loop: edge id by
         # endpoint pair (-1 when absent) and each neighbour's position in
         # the sorted adjacency list.
-        self.eid_row: tuple[tuple[int, ...], ...] = tuple(
-            tuple(edge_ids.get((u, v), -1) for v in range(n)) for u in range(n)
-        )
+        eid_row = [[-1] * n for _ in range(n)]
+        for i, (u, v) in enumerate(self.edges):
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+            eid_row[u][v] = eid_row[v][u] = i
+        self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in nbrs)
+        self.eid_row: tuple[tuple[int, ...], ...] = tuple(tuple(row) for row in eid_row)
         self.nbr_index: tuple[dict[int, int], ...] = tuple(
             {v: i for i, v in enumerate(a)} for a in self.adj
         )
@@ -102,11 +98,15 @@ class Graph:
     def min_degree(self) -> int:
         return min(len(a) for a in self.adj)
 
+    def _eid(self, u: int, v: int) -> int:
+        # -1 also for labels outside 0..n-1, which would wrap round as indices.
+        return self.eid_row[u][v] if 0 <= u < self.n and 0 <= v < self.n else -1
+
     def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self._edge_ids
+        return self._eid(u, v) >= 0
 
     def edge_id(self, u: int, v: int) -> int:
-        e = self.eid_row[u][v]
+        e = self._eid(u, v)
         if e < 0:
             raise ValueError(f"no edge {u} {v}")
         return e

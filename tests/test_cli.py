@@ -182,6 +182,22 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("enumerate", "--named", "tetrahedron", "--out"),
+            ("enumerate", "--named", "tetrahedron", "--format", "json", "--out"),
+            ("orbits", "--graph6", "Bw", "--dot"),
+        ],
+        ids=["enumerate-text", "enumerate-json", "orbits-dot"],
+    )
+    def test_unwritable_output_path(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "out.txt"
+        code, _, err = run(capsys, *argv, str(target))
+        assert code == EXIT_USAGE
+        assert err.startswith(f"error: cannot write {target}")
+        assert not target.exists()
+
     def test_missing_graph_source(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["enumerate", "--kind", "strong"])

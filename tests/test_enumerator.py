@@ -61,7 +61,7 @@ class TestPartialTrace:
     def test_push_updates_bookkeeping(self, triangle):
         pt = build_partial(triangle, (0, 1, 2, 0))
         assert pt.seq == [0, 1, 2, 0]
-        assert pt.visits == [2, 1, 1]
+        assert pt.zero_visits == 2
         assert pt.edge_count[triangle.edge_id(0, 1)] == 1
         assert pt.edge_count[triangle.edge_id(1, 2)] == 1
         assert pt.edge_count[triangle.edge_id(0, 2)] == 1
@@ -87,11 +87,10 @@ class TestPartialTrace:
             list(pt.seq),
             list(pt.edge_count),
             list(pt.edge_from),
-            list(pt.visits),
+            pt.zero_visits,
             [list(x) for x in pt.mate],
             [list(x) for x in pt.span],
             pt.closing,
-            list(pt.relabels),
             list(pt.forward),
             list(pt.backward),
             list(pt.anchored),
@@ -154,8 +153,8 @@ class TestPartialTrace:
     def test_pop_restores_the_symmetries_past_a_witness(
         self, request, fixture, prefix, tail, anchored
     ):
-        # The first push of `tail` finds a witness (the triangle's reversal
-        # of 0,1,2,1; K4's end-anchored one when 0,1,0,2,1,2,3,0,3 forces
+        # The first push of `tail` finds a witness (the triangle's forward
+        # one on 0,1,2,1; K4's end-anchored one when 0,1,0,2,1,2,3,0,3 forces
         # the closing vertex 2; a backward one on 0,1,0,2,1,3,0,3,2,3,
         # after every open backward alignment was anchored), the second
         # inherits it.  Popping both brings back the tied alignments.
@@ -368,18 +367,26 @@ class TestCanonicalExtension:
         assert canonical_extension(pt, [0, 1, 3]) == [0, 1, 3]
 
 
+def start_zero_alignments(pt):
+    """The perms of the forward alignments at start 0, which head `forward`."""
+    starts = [s for _, s in pt.forward]
+    head = starts.count(0)
+    assert starts[:head] == [0] * head
+    return [perm for perm, _ in pt.forward[:head]]
+
+
 class TestRetainedSymmetries:
     def test_initial_relabels_fix_base_edge(self, k4):
-        pt = build_partial(k4, (0, 1))
-        assert all(p[0] == 0 and p[1] == 1 for p in pt.relabels)
         # The stabilizer of the ordered pair (0, 1) in Aut(K4) = S4 is
-        # exactly {identity, swap 2 and 3}.
-        assert sorted(pt.relabels) == [(0, 1, 2, 3), (0, 1, 3, 2)]
+        # exactly {identity, swap 2 and 3}; all but the identity start
+        # out as forward alignments at start 0.
+        pt = build_partial(k4, (0, 1))
+        assert pt.forward == [((0, 1, 3, 2), 0)]
 
     def test_prune_narrows_relabels(self, k4):
         pt = build_partial(k4, (0, 1, 2))
         assert pt.smaller_witness is None
-        assert pt.relabels == [(0, 1, 2, 3)]
+        assert start_zero_alignments(pt) == []
 
     def test_prune_finds_relabel_witness(self, k4):
         # Swapping 2 and 3 maps the prefix 0,1,3 to the smaller 0,1,2.
@@ -387,12 +394,29 @@ class TestRetainedSymmetries:
         assert w == SymmetryElement((0, 1, 3, 2), 0, False)
         assert apply_symmetry(w, (0, 1, 3)) == (0, 1, 2)
 
-    def test_prune_finds_reversal_witness(self, triangle):
+    def test_prune_finds_reversal_witness(self, triangle, k4):
         # Reading 0,1,2,1 backwards from its end and relabelling 1 to 0
         # yields 0,1,0,...: strictly smaller, so no completion of this
-        # prefix can be canonical.
-        pt = build_partial(triangle, (0, 1, 2, 1))
-        assert pt.smaller_witness == SymmetryElement((2, 0, 1), 3, True)
+        # prefix can be canonical.  Read forwards from w_1 by the same
+        # relabelling it gives 0,1,0 too, and `prune` decides the forward
+        # alignments first, so that is the witness reported.
+        prefix = (0, 1, 2, 1)
+        pt = build_partial(triangle, prefix)
+        assert pt.smaller_witness == SymmetryElement((2, 0, 1), 1, False)
+        reversal = SymmetryElement((2, 0, 1), 3, True)
+        assert apply_symmetry(reversal, prefix + (0, 2))[:3] == (0, 1, 0)
+        # On K4 the last push of this prefix finds only a reversal: read
+        # backwards from w_10 = 1 (the walk ends with the forced w_11 = 3)
+        # and relabelled by (3, 0, 1, 2) it gives 0,1,0,2,1, below
+        # 0,1,0,2,3.
+        prefix = (0, 1, 0, 2, 3, 0, 2, 3, 1, 2, 1)
+        pt = build_partial(k4, prefix[:2])
+        for v in prefix[2:]:
+            assert pt.smaller_witness is None
+            pt.push(v)
+        w = pt.smaller_witness
+        assert w == SymmetryElement((3, 0, 1, 2), 2, True)
+        assert apply_symmetry(w, prefix + (3,))[:5] == (0, 1, 0, 2, 1)
 
     def test_prune_finds_forward_witness(self, k4):
         # Read forwards from w_3 = 2 and relabelled by (2, 3, 0, 1), the
@@ -429,28 +453,29 @@ class TestRetainedSymmetries:
             pt.push(v)
             assert pt.smaller_witness is None
 
-    @pytest.mark.parametrize(
-        "fixture,prefix,witnessed",
-        [("k4", (0, 1, 2, 0, 1, 3), False), ("triangle", (0, 1, 2, 1), True)],
-        ids=["k4", "triangle-witnessed"],
-    )
-    def test_relabels_are_the_prefix_stabilizer(self, request, fixture, prefix, witnessed):
-        # After every push the stored relabellings are exactly the
-        # automorphisms fixing each prefix vertex, also on the triangle
-        # prefix 0,1,2,1, where prune finds a witness.
-        graph = request.getfixturevalue(fixture)
-        aut = automorphisms(graph)
-        pt = PartialTrace(graph, aut)
-        for v in prefix[2:]:
-            pt.push(v)
-            expected = {p for p in aut.elements if all(p[w] == w for w in pt.seq)}
-            assert set(pt.relabels) == expected
-        assert (pt.smaller_witness is not None) == witnessed
+    def test_start_zero_alignments_are_the_prefix_stabilizer(self, k4):
+        # From the root on and after every push, the forward alignments at
+        # start 0 are exactly the automorphisms other than the identity
+        # that fix each prefix vertex, and they head `forward`.
+        aut = automorphisms(k4)
+        pt = PartialTrace(k4, aut)
+        for v in (None, 2, 0, 1, 3):
+            if v is not None:
+                pt.push(v)
+            assert pt.smaller_witness is None
+            expected = {
+                p
+                for p in aut.elements
+                if p != (0, 1, 2, 3) and all(p[w] == w for w in pt.seq)
+            }
+            got = start_zero_alignments(pt)
+            assert len(got) == len(expected) and set(got) == expected
+        assert pt.seq == [0, 1, 2, 0, 1, 3]
 
 
 class TestReplay:
     def test_witnessed_prefix_is_refused(self, triangle):
-        # 0,1,2,1 has a reversal witness, so no frontier holds it.
+        # 0,1,2,1 has a witness, so no frontier holds it.
         search = make_search(triangle, EnumerationConfig())
         with pytest.raises(AssertionError, match="replayed prefix was pruned"):
             _enumerate_subtrees(search, [(0, 1, 2, 1)])
@@ -473,7 +498,7 @@ class TestExtendFeasibly:
 
     def test_pruned_children_are_dropped(self, triangle):
         # From 0,1,2 the only extensions are 0 and 1, and 0,1,2,1 is
-        # killed by its reversal witness.
+        # killed by its witness.
         search = make_search(triangle, EnumerationConfig())
         pt = PartialTrace(search.graph, search.aut)
         pt.push(2)

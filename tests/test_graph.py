@@ -45,6 +45,14 @@ class TestGraph:
         with pytest.raises(ValueError):
             g.edge_id(0, 2)
 
+    @pytest.mark.parametrize("u,v", [(-1, 0), (0, -1), (4, 0), (0, 4)])
+    def test_edge_id_rejects_labels_out_of_range(self, u, v):
+        # -1 must not wrap round to vertex 3, the far end of the edge {0, 3}.
+        g = named_graph("tetrahedron")
+        assert not g.has_edge(u, v)
+        with pytest.raises(ValueError, match="no edge"):
+            g.edge_id(u, v)
+
     def test_eid_row_matches_edge_ids(self):
         g = named_graph("tetrahedron")
         for u in range(g.n):
