@@ -12,6 +12,7 @@ error, 3 size guard refusal.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -94,13 +95,32 @@ def _load_graph(args: argparse.Namespace) -> LoadedGraph:
     return LoadedGraph(normalized, label, relabeling)
 
 
-def _write_file(path: str, text: str) -> None:
-    """Write `text` and a newline to `path`; failing to is a usage error."""
+@contextlib.contextmanager
+def _output_file(path: str | None):
+    """Open `path` for writing, or yield None without one.
+
+    Opened before the search, so that an unwritable path fails before
+    any work is done; failing to open it is a usage error.
+    """
+    if path is None:
+        yield None
+        return
     try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        handle = open(path, "w", encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc}") from None
+    with handle:
+        yield handle
+
+
+def _write_file(handle, text: str) -> None:
+    """Write `text` and a newline to an open output file; failing to is a
+    usage error."""
+    try:
+        handle.write(text + "\n")
+        handle.flush()
+    except OSError as exc:
+        raise UsageError(f"cannot write {handle.name}: {exc}") from None
 
 
 def _config_from(args: argparse.Namespace) -> EnumerationConfig:
@@ -185,49 +205,50 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     _check_jobs(args)
     loaded = _load_graph(args)
     config = _config_from(args)
-    graph = loaded.graph
-    started = time.perf_counter()
-    traces = enumerate_traces(graph, config, jobs=args.jobs)
-    seconds = time.perf_counter() - started
-    note = _feasibility_note(graph, config, len(traces))
-    payload = {
-        "graph": loaded.label,
-        "n": graph.n,
-        "m": graph.m,
-        "config": config.describe(),
-        "count": len(traces),
-        "seconds": round(seconds, 3),
-    }
-    if note is not None:
-        payload["note"] = note
-    if loaded.relabeling is not None:
-        payload["relabeling"] = list(loaded.relabeling)
-    if not args.count_only:
-        payload["traces"] = [list(t) for t in traces]
-    if args.format == "json":
-        text = json.dumps(payload, indent=2)
-        if args.out:
-            _write_file(args.out, text)
+    with _output_file(args.out) as out:
+        graph = loaded.graph
+        started = time.perf_counter()
+        traces = enumerate_traces(graph, config, jobs=args.jobs)
+        seconds = time.perf_counter() - started
+        note = _feasibility_note(graph, config, len(traces))
+        payload = {
+            "graph": loaded.label,
+            "n": graph.n,
+            "m": graph.m,
+            "config": config.describe(),
+            "count": len(traces),
+            "seconds": round(seconds, 3),
+        }
+        if note is not None:
+            payload["note"] = note
+        if loaded.relabeling is not None:
+            payload["relabeling"] = list(loaded.relabeling)
+        if not args.count_only:
+            payload["traces"] = [list(t) for t in traces]
+        if args.format == "json":
+            text = json.dumps(payload, indent=2)
+            if out:
+                _write_file(out, text)
+                print(f"# wrote {args.out}")
+            else:
+                print(text)
+            return EXIT_OK
+        extra = {
+            "config": config.describe(),
+            "count": len(traces),
+            "seconds": f"{seconds:.3f}",
+        }
+        if note is not None:
+            extra["note"] = note
+        report = _report_lines(loaded, extra)
+        body = [] if args.count_only else [format_trace(t) for t in traces]
+        if out:
+            _write_file(out, "\n".join(report + body))
+            print("\n".join(report))
             print(f"# wrote {args.out}")
         else:
-            print(text)
+            print("\n".join(report + body))
         return EXIT_OK
-    extra = {
-        "config": config.describe(),
-        "count": len(traces),
-        "seconds": f"{seconds:.3f}",
-    }
-    if note is not None:
-        extra["note"] = note
-    report = _report_lines(loaded, extra)
-    body = [] if args.count_only else [format_trace(t) for t in traces]
-    if args.out:
-        _write_file(args.out, "\n".join(report + body))
-        print("\n".join(report))
-        print(f"# wrote {args.out}")
-    else:
-        print("\n".join(report + body))
-    return EXIT_OK
 
 
 def _parse_kinds(spec: str) -> list[tuple[str, int | None]]:
@@ -284,11 +305,12 @@ def cmd_orbits(args: argparse.Namespace) -> int:
     loaded = _load_graph(args)
     config = _config_from(args)
     graph = loaded.graph
-    traces = brute_enumerate(graph, config, scope="all_starts")
-    aut = automorphisms(graph)
-    report = orbit_partition(traces, aut, args.subgroup)
-    if args.dot:
-        _write_file(args.dot, emit_orbit_graph(traces, aut, args.subgroup))
+    with _output_file(args.dot) as dot:
+        traces = brute_enumerate(graph, config, scope="all_starts")
+        aut = automorphisms(graph)
+        report = orbit_partition(traces, aut, args.subgroup)
+        if dot:
+            _write_file(dot, emit_orbit_graph(traces, aut, args.subgroup))
     if args.format == "json":
         print(json.dumps(report.to_json(), indent=2))
     else:
@@ -374,7 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--count-only", action="store_true", help="report the count only")
     p_enum.add_argument("--format", choices=("text", "json"), default="text")
     p_enum.add_argument("--out", metavar="FILE", help="write traces to a file")
-    p_enum.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p_enum.add_argument(
+        "--jobs", type=int, default=1, help="processes that search, this one included"
+    )
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_verify = sub.add_parser("verify", help="compare against the brute-force oracle")
@@ -412,7 +436,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="include rows that take hours (dodecahedron, prism:8 and up)",
     )
-    p_tables.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p_tables.add_argument(
+        "--jobs", type=int, default=1, help="processes that search, this one included"
+    )
     p_tables.set_defaults(func=cmd_tables)
     return parser
 

@@ -49,9 +49,12 @@ from one undo journal, as in backtracking with dancing links (Knuth,
 TAOCP 7.2.2.1).  The parallel path (`jobs > 1`) uses it twice: first
 with a stop depth, through `extend_feasibly`, to list the prefixes the
 search enters at the shallowest depth with at least `FRONTIER_PER_JOB`
-prefixes per worker; then in each worker, which replays every jobs-th
-of those prefixes and searches below it to full length.  Workers share
-no state, and the split is the same on every run.
+prefixes per process; then in each of `jobs` processes, the caller
+included, which take the next prefix from a shared counter until none
+is left, move their one search state to it (`PartialTrace.move_to`) and
+search below it to full length.  So the split is dealt on demand and
+differs from run to run, but each prefix's traces are put back in
+frontier order, and the output is identical to the serial search's.
 """
 
 from __future__ import annotations
@@ -72,8 +75,11 @@ from .traces import (  # noqa: F401
 )
 
 # `_enumerate_parallel` splits at the shallowest frontier with at least
-# this many prefixes per worker, so that one heavy subtree does not
-# leave the other workers idle.
+# this many prefixes per process, so that, dealt on demand, the subtrees
+# left when one process finishes are small and none waits long for the
+# others.  With jobs=2 on a 2-core VM, 32, 64 and 128 were no faster on
+# octahedron strong (1.46-1.52 s against 1.42 s, medians of 3) and slower
+# on cube strong (28-72 ms against 22 ms, medians of 5).
 FRONTIER_PER_JOB = 16
 
 # `admits_antiparallel_strong` enumerates spanning trees, so it refuses
@@ -248,6 +254,21 @@ class PartialTrace:
             span = self.span[u]
             span[ea] = span_a
             span[eb] = span_b
+
+    def move_to(self, prefix: Sequence[int]) -> None:
+        """Pop back to the longest prefix shared with `prefix` and push the
+        rest of it.  `prefix` starts 0 1, and no push may meet a witness:
+        a prefix the search entered has none."""
+        seq = self.seq
+        common = 2
+        while common < len(seq) and common < len(prefix) and seq[common] == prefix[common]:
+            common += 1
+        while len(seq) > common:
+            self.pop()
+        for v in prefix[common:]:
+            self.push(v)
+            if self.smaller_witness is not None:
+                raise AssertionError("replayed prefix was pruned")
 
     def __len__(self) -> int:
         return len(self.seq)
@@ -429,7 +450,7 @@ def prune(partial: PartialTrace) -> PartialTrace:
 
 @dataclass(frozen=True)
 class _Search:
-    """What one search holds fixed; pool workers receive it whole."""
+    """What one search holds fixed; child processes receive it whole."""
 
     graph: Graph
     config: EnumerationConfig
@@ -563,19 +584,36 @@ def extend_feasibly(partial: PartialTrace, search: _Search, depth: int) -> list[
     return out
 
 
-def _enumerate_subtrees(
-    search: _Search, prefixes: list[tuple[int, ...]]
-) -> list[tuple[int, ...]]:
-    """Replay each frontier prefix from the root and search it to full length."""
-    out: list[tuple[int, ...]] = []
-    for prefix in prefixes:
-        partial = PartialTrace(search.graph, search.aut)
-        for v in prefix[len(partial) :]:
-            partial.push(v)
-            if partial.smaller_witness is not None:
-                raise AssertionError("replayed prefix was pruned")
-        _descend(partial, search, search.length, out)
-    return out
+def _search_dealt(
+    partial: PartialTrace,
+    search: _Search,
+    prefixes: list[tuple[int, ...]],
+    counter,
+) -> list[tuple[int, list[tuple[int, ...]]]]:
+    """Search below the frontier prefixes dealt to this process.
+
+    Takes the next prefix index from the shared `counter` until none is
+    left, moves `partial` to that prefix and searches it to full length.
+    Returns (index, traces) for each prefix taken.
+    """
+    parts = []
+    while True:
+        with counter.get_lock():
+            index = counter.value
+            counter.value = index + 1
+        if index >= len(prefixes):
+            return parts
+        partial.move_to(prefixes[index])
+        traces: list[tuple[int, ...]] = []
+        _descend(partial, search, search.length, traces)
+        parts.append((index, traces))
+
+
+def _search_child(partial, search, prefixes, counter, conn) -> None:
+    """A worker process: its share of the frontier, sent back whole once
+    the counter runs out, so that it never waits on the caller mid-search."""
+    conn.send(_search_dealt(partial, search, prefixes, counter))
+    conn.close()
 
 
 def enumerate_traces(
@@ -591,10 +629,13 @@ def enumerate_traces(
     adjacent).  Every returned trace starts with 0, 1 and passes the full
     double-trace, kind, orientation and canonicity predicates.  With
     `jobs > 1` the subtrees below one frontier of the same search are
-    dealt out to that many worker processes; the result is the same.
+    dealt out to that many processes, the caller included; the result is
+    the same.  `jobs` below 1 is a `ValueError`.
     `aut` may pass in the graph's automorphism group if it is already
     known.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if config is None:
         config = EnumerationConfig()
     if aut is None:
@@ -613,9 +654,18 @@ def _enumerate_parallel(
 ) -> list[tuple[int, ...]]:
     """Split the search at the shallowest frontier wide enough for `jobs`.
 
-    Frontier prefix i goes to worker i mod jobs.  A frontier that stays
-    narrower down to the last step before full length is split as it is;
-    an empty one means there is nothing to search.
+    `jobs - 1` child processes and the caller take frontier prefixes on
+    demand from one shared counter, so a heavy subtree holds up only the
+    process searching it.  Each process moves one search state from
+    prefix to prefix.  The frontier's prefixes have equal length and come
+    in lexicographic order, and each subtree's traces come sorted, so
+    concatenating them in frontier order gives the sorted output.
+
+    A frontier of at most one prefix, or one that stays narrower down to
+    the last step before full length (at most one leaf below each
+    prefix), has nothing worth a process: the caller searches it alone.
+    A child that fails makes this raise `RuntimeError`; no child outlives
+    the call.
     """
     import multiprocessing
 
@@ -624,14 +674,41 @@ def _enumerate_parallel(
     while 0 < len(prefixes) < FRONTIER_PER_JOB * jobs and depth + 1 < search.length:
         depth += 1
         prefixes = extend_feasibly(partial, search, depth)
-    args = [(search, prefixes[i::jobs]) for i in range(min(jobs, len(prefixes)))]
-    out: list[tuple[int, ...]] = []
-    if args:
-        with multiprocessing.Pool(len(args)) as pool:
-            for part in pool.starmap(_enumerate_subtrees, args):
-                out.extend(part)
-    out.sort()
-    return out
+    split = len(prefixes) > 1 and depth + 1 < search.length
+    counter = multiprocessing.Value("i", 0)
+    parts: list[list[tuple[int, ...]] | None] = [None] * len(prefixes)
+    children = []
+    try:
+        for _ in range(jobs - 1 if split else 0):
+            receiver, sender = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.Process(
+                target=_search_child,
+                args=(partial, search, prefixes, counter, sender),
+                daemon=True,
+            )
+            child.start()
+            sender.close()
+            children.append((child, receiver))
+        for index, traces in _search_dealt(partial, search, prefixes, counter):
+            parts[index] = traces
+        for child, receiver in children:
+            try:
+                for index, traces in receiver.recv():
+                    parts[index] = traces
+            except EOFError:
+                pass
+            child.join()
+            if child.exitcode != 0:
+                raise RuntimeError(
+                    f"search worker process failed with exit code {child.exitcode}"
+                )
+    finally:
+        for child, receiver in children:
+            receiver.close()
+            if child.is_alive():
+                child.terminate()
+            child.join()
+    return [trace for part in parts for trace in part]  # type: ignore[union-attr]
 
 
 def admits_parallel_strong(graph: Graph) -> bool:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from collections import deque
+from itertools import islice
 from typing import Iterable, Sequence
 
 
@@ -133,8 +134,9 @@ class Graph:
 def parse_edge_list(text: str) -> Graph:
     """Parse a whitespace separated edge list, one edge per line.
 
-    `#` starts a comment.  Duplicate edges are collapsed with a warning,
-    loops and disconnected graphs are rejected.
+    `#` starts a comment.  Duplicate edges are collapsed with a warning;
+    loops, labels that leave a gap below the largest one and disconnected
+    graphs are rejected.
     """
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
@@ -163,6 +165,15 @@ def parse_edge_list(text: str) -> Graph:
         edges.append(e)
     if not edges:
         raise ValueError("edge list contains no edges")
+    used = {x for e in edges for x in e}
+    if len(used) <= max_label:
+        missing = max_label + 1 - len(used)
+        shown = [str(x) for x in islice((x for x in range(max_label) if x not in used), 10)]
+        more = f" and {missing - len(shown)} more" if missing > len(shown) else ""
+        raise ValueError(
+            "vertex labels must be 0..n-1 with none missing; "
+            f"missing: {', '.join(shown)}{more}"
+        )
     return Graph(max_label + 1, edges)
 
 

@@ -191,7 +191,13 @@ class TestUsageErrors:
         ],
         ids=["enumerate-text", "enumerate-json", "orbits-dot"],
     )
-    def test_unwritable_output_path(self, capsys, tmp_path, argv):
+    def test_unwritable_output_path(self, capsys, monkeypatch, tmp_path, argv):
+        # The path is refused before any search runs.
+        def no_search(*args, **kwargs):
+            pytest.fail("searched before opening the output file")
+
+        monkeypatch.setattr(cli, "enumerate_traces", no_search)
+        monkeypatch.setattr(cli, "brute_enumerate", no_search)
         target = tmp_path / "missing" / "out.txt"
         code, _, err = run(capsys, *argv, str(target))
         assert code == EXIT_USAGE

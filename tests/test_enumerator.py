@@ -1,3 +1,4 @@
+import multiprocessing
 import random
 import warnings
 
@@ -28,7 +29,6 @@ from doubletrace import (
 from doubletrace import enumerator
 from doubletrace.enumerator import (
     _accept,
-    _enumerate_subtrees,
     _kind_bound,
     _kind_lookahead_ok,
     _Search,
@@ -473,12 +473,53 @@ class TestRetainedSymmetries:
         assert pt.seq == [0, 1, 2, 0, 1, 3]
 
 
+def search_state(pt):
+    """Everything a search reads off a `PartialTrace`, as plain values."""
+    return (
+        list(pt.seq),
+        list(pt.edge_count),
+        list(pt.edge_from),
+        pt.zero_visits,
+        [list(row) for row in pt.mate],
+        [list(row) for row in pt.span],
+        pt.closing,
+        list(pt.forward),
+        list(pt.backward),
+        list(pt.anchored),
+        pt.smaller_witness,
+    )
+
+
 class TestReplay:
     def test_witnessed_prefix_is_refused(self, triangle):
         # 0,1,2,1 has a witness, so no frontier holds it.
         search = make_search(triangle, EnumerationConfig())
+        pt = PartialTrace(search.graph, search.aut)
         with pytest.raises(AssertionError, match="replayed prefix was pruned"):
-            _enumerate_subtrees(search, [(0, 1, 2, 1)])
+            pt.move_to((0, 1, 2, 1))
+
+    @pytest.mark.parametrize(
+        "name,k,cfg",
+        [
+            ("tetrahedron", None, EnumerationConfig(kind="strong")),
+            ("prism", 3, EnumerationConfig()),
+        ],
+        ids=["k4-strong", "prism3-any"],
+    )
+    def test_moving_matches_a_fresh_replay(self, name, k, cfg):
+        # One state moved across every frontier, shallowest first, as the
+        # parallel driver moves it across one frontier.
+        graph = named_graph(name, k)
+        search = make_search(graph, cfg)
+        moved = PartialTrace(search.graph, search.aut)
+        for depth in range(3, search.length):
+            frontier = extend_feasibly(PartialTrace(search.graph, search.aut), search, depth)
+            for prefix in frontier:
+                moved.move_to(prefix)
+                fresh = PartialTrace(search.graph, search.aut)
+                for v in prefix[2:]:
+                    fresh.push(v)
+                assert search_state(moved) == search_state(fresh), prefix
 
 
 class TestExtendFeasibly:
@@ -627,12 +668,71 @@ class TestEnumerateTraces:
             got = enumerate_traces(triangle, EnumerationConfig(kind="stable", d=3))
         assert got == enumerate_traces(triangle, EnumerationConfig(kind="strong")) != []
 
-    def test_parallel_jobs_match_serial(self, prism3):
-        cfg = EnumerationConfig(kind="strong")
-        assert enumerate_traces(prism3, cfg, jobs=2) == enumerate_traces(prism3, cfg)
+    # Rows under 0.2 s serially.  prism:3 antiparallel's frontier narrows
+    # to 2 prefixes, fewer than the jobs asked for.
+    PARALLEL_ROWS = [
+        ("tetrahedron", None, EnumerationConfig(kind="strong")),
+        ("cube", None, EnumerationConfig(kind="strong")),
+        ("prism", 3, EnumerationConfig(kind="strong")),
+        ("prism", 3, EnumerationConfig(kind="strong", orientation="antiparallel")),
+        ("prism", 5, EnumerationConfig(kind="strong")),
+        ("pyramid", 4, EnumerationConfig(kind="stable", d=2)),
+        ("bipyramid", 3, EnumerationConfig(kind="strong")),
+    ]
+
+    def test_parallel_jobs_match_serial(self):
+        for name, k, cfg in self.PARALLEL_ROWS:
+            graph = named_graph(name, k)
+            aut = automorphisms(graph)
+            serial = enumerate_traces(graph, cfg, aut=aut)
+            for jobs in (2, 3, 4):
+                got = enumerate_traces(graph, cfg, jobs=jobs, aut=aut)
+                assert got == serial, (name, k, cfg.describe(), jobs)
 
     def test_parallel_jobs_any_kind(self, k4):
-        assert enumerate_traces(k4, jobs=3) == enumerate_traces(k4)
+        serial = enumerate_traces(k4)
+        for jobs in (2, 3, 4):
+            assert enumerate_traces(k4, jobs=jobs) == serial, jobs
+
+    @pytest.mark.parametrize(
+        "graph,cfg",
+        [
+            (named_graph("prism", 3), EnumerationConfig(kind="strong", orientation="antiparallel")),
+            (Graph(2, [(0, 1)]), EnumerationConfig()),
+            (Graph(3, [(0, 1), (0, 2), (1, 2)]), EnumerationConfig(kind="strong")),
+        ],
+        ids=["prism3-strong-antiparallel", "single-edge", "triangle-strong"],
+    )
+    def test_no_process_without_a_split(self, monkeypatch, graph, cfg):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process was started")
+
+        monkeypatch.setattr(multiprocessing, "Process", refuse)
+        assert enumerate_traces(graph, cfg, jobs=3) == enumerate_traces(graph, cfg)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched search reaches the child only through fork",
+    )
+    @pytest.mark.parametrize("failing", ["child", "caller"])
+    def test_failed_search_raises_and_leaves_no_process(self, monkeypatch, prism3, failing):
+        original = enumerator._search_dealt
+
+        def fail_in_one(*args):
+            in_child = multiprocessing.parent_process() is not None
+            if in_child == (failing == "child"):
+                raise RuntimeError("injected failure")
+            return original(*args)
+
+        monkeypatch.setattr(enumerator, "_search_dealt", fail_in_one)
+        with pytest.raises(RuntimeError, match="exit code 1" if failing == "child" else "injected"):
+            enumerate_traces(prism3, EnumerationConfig(kind="strong"), jobs=2)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, k4, jobs):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            enumerate_traces(k4, jobs=jobs)
 
     def test_precomputed_aut_accepted(self, k4):
         aut = automorphisms(k4)

@@ -120,6 +120,24 @@ class TestParseEdgeList:
         with pytest.raises(ValueError):
             parse_edge_list("# nothing\n")
 
+    @pytest.mark.parametrize(
+        "text,missing",
+        [
+            ("5 7\n7 9\n", "missing: 0, 1, 2, 3, 4, 6, 8$"),
+            ("0 1\n1 30\n", "missing: 2, 3, 4, 5, 6, 7, 8, 9, 10, 11 and 18 more$"),
+        ],
+        ids=["gaps-below-and-between", "long-gap"],
+    )
+    def test_label_gaps_rejected(self, text, missing):
+        with pytest.raises(ValueError, match="labels must be 0..n-1 with none missing") as info:
+            parse_edge_list(text)
+        assert not isinstance(info.value, DisconnectedGraphError)
+        assert info.match(missing)
+
+    def test_disconnected_without_gaps_rejected(self):
+        with pytest.raises(DisconnectedGraphError, match="not connected"):
+            parse_edge_list("0 1\n2 3\n")
+
 
 class TestParseGraph6:
     def test_complete_graph_on_four(self):

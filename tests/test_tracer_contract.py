@@ -8,6 +8,10 @@ through the module global, breaks `perfbench/run.py --trace 1` without
 failing anything else here, so this test runs the tracer, unchanged, on
 one small search.
 
+The parallel path is traced the same way: `extend_feasibly` is wrapped
+by name as the `parallel.frontier` span, and forked worker processes
+drop the wrappers, so a `jobs=2` search runs under the tracer too.
+
 The tracer has no stage for the kind lookahead: it reads
 `enumerator.lookahead.cut` as the gap between the candidates
 `feasible_neighbors` returns and those `canonical_extension` receives.
@@ -20,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+import doubletrace.cli as cli
 import doubletrace.enumerator as enumerator
 from doubletrace import EnumerationConfig, enumerate_traces, named_graph
 
@@ -52,6 +57,27 @@ def test_tracer_sees_the_hot_stages_and_keeps_the_output():
     # Uninstalled: the next search runs the originals again.
     enumerate_traces(k4, cfg)
     assert tracer.stage_totals() == totals
+
+
+def test_tracer_keeps_the_parallel_output_and_sees_the_frontier():
+    prism3 = named_graph("prism", 3)
+    cfg = EnumerationConfig(kind="strong")
+    expected = enumerate_traces(prism3, cfg)
+    modules = (enumerator, cli)
+    originals = [dict(vars(module)) for module in modules]
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        got = enumerate_traces(prism3, cfg, jobs=2)
+    finally:
+        tracer.uninstall()
+    assert got == expected
+    calls, _ = tracer.span_totals("parallel.frontier")
+    assert calls > 0
+    # Hot stages ran in the frontier and, outside any span, in the
+    # caller's share of the search.
+    assert tracer.stage_containers() == {"parallel.frontier", None}
+    assert [dict(vars(module)) for module in modules] == originals
 
 
 @pytest.mark.parametrize(
