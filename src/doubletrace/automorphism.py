@@ -87,7 +87,8 @@ def automorphisms(graph: Graph) -> AutGroup:
     Vertices are matched in breadth-first order starting from a smallest
     cell, candidate images are drawn from the vertex's own cell, and every
     partial assignment is checked for adjacency consistency against all
-    previously matched vertices.
+    previously matched vertices.  The backtracking keeps its own stack,
+    so the number of vertices is not bounded by the recursion limit.
     """
     n = graph.n
     cells = equitable_partition(graph)
@@ -114,32 +115,39 @@ def automorphisms(graph: Graph) -> AutGroup:
         for v in graph.adj[u]:
             masks[u] |= 1 << v
     image = [-1] * n
-    used = [False] * n
+    # Bit mask of the images taken so far.
+    taken = 0
     found: list[tuple[int, ...]] = []
-
-    def place(k: int) -> None:
+    # tried[k]: how many images from its cell order[k] has tried so far.
+    tried = [0] * n
+    k = 0
+    while k >= 0:
         if k == n:
             found.append(tuple(image))
-            return
+            k -= 1
+            continue
         v = order[k]
-        mv = masks[v]
-        for x in cells[cell_index[v]]:
-            if used[x]:
-                continue
-            mx = masks[x]
-            ok = True
-            for u in order[:k]:
-                if ((mv >> u) & 1) != ((mx >> image[u]) & 1):
-                    ok = False
-                    break
-            if ok:
+        if image[v] >= 0:
+            taken ^= 1 << image[v]
+            image[v] = -1
+        # x may be v's image iff its neighbours among the images taken
+        # are exactly the images of v's neighbours matched so far.
+        target = 0
+        for u in graph.adj[v]:
+            if image[u] >= 0:
+                target |= 1 << image[u]
+        cell = cells[cell_index[v]]
+        for i in range(tried[k], len(cell)):
+            x = cell[i]
+            if not (taken >> x) & 1 and masks[x] & taken == target:
                 image[v] = x
-                used[x] = True
-                place(k + 1)
-                used[x] = False
-                image[v] = -1
-
-    place(0)
+                taken |= 1 << x
+                tried[k] = i + 1
+                k += 1
+                break
+        else:
+            tried[k] = 0
+            k -= 1
     found.sort()
     return AutGroup(n, tuple(found))
 

@@ -16,12 +16,14 @@ per symmetry orbit.  Three mechanisms cooperate:
   step; a backward one is decided as soon as its start is pushed, on
   w_s, ..., w_0.  An image strictly smaller on the prefix is a witness
   that no completion can be canonical, so the branch dies; a larger
-  one is dropped; a tie keeps the alignment.  The forward alignments
-  tied at start 0 are the prefix stabiliser, less the identity.
-* `canonical_extension` keeps one smallest candidate per orbit of that
-  stabiliser, so symmetric subtrees are searched once.  The candidates
-  it drops are exactly those to which `prune` would give a witness at
-  start 0, so it saves their pushes and cuts nothing more.
+  one is dropped; a tie keeps the alignment.
+* `canonical_extension` makes the forward comparisons before the push:
+  it keeps exactly the candidates to which no tied forward alignment
+  gives a smaller image.  So it saves the pushes that a forward witness
+  would kill and cuts nothing more.  The forward alignments at start 0
+  are the prefix stabiliser less the identity, so of each orbit of the
+  stabiliser only the smallest candidate is kept, and symmetric
+  subtrees are searched once.
 
 The walk's end is known early.  When it leaves vertex 0 for the last
 time, the one traversal left at 0 is the closing step, so w_{2m-1} is
@@ -59,7 +61,6 @@ frontier order, and the output is identical to the serial search's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .automorphism import AutGroup, SymmetryElement, automorphisms
@@ -126,9 +127,11 @@ class PartialTrace:
     sets stay tied with the prefix:
 
     * `forward`, the (perm, s) pairs for forward alignments whose image
-      matches the prefix so far.  Those at start 0 are the pointwise
-      stabiliser of the prefix less the identity, and they head the list:
-      `prune` keeps its order and appends new alignments at starts s >= 1;
+      matches the prefix so far, which `canonical_extension` also reads
+      before a push.  Those at start 0 are the pointwise stabiliser of
+      the prefix less the identity, and they head the list, so a witness
+      among them is the one `prune` reports: it keeps the list's order
+      and appends new alignments at starts s >= 1;
     * `backward`, the (perm, s) pairs for backward alignments whose image
       matched all of w_s, ..., w_0; the rest of that image reads the
       walk's end, w_{2m-1} first;
@@ -350,21 +353,20 @@ def feasible_neighbors(partial: PartialTrace, config: EnumerationConfig) -> list
 
 
 def canonical_extension(partial: PartialTrace, candidates: Sequence[int]) -> list[int]:
-    """One smallest candidate per orbit of the prefix stabiliser, whose
-    elements other than the identity are the start-0 head of `forward`."""
+    """The candidates v, in their given order, to which no tied forward
+    alignment (perm, s) gives a smaller image: once v = w_p is pushed,
+    `prune` compares perm[v] with w_{p-s} (v itself at start 0, where
+    the alignment fixes the prefix), and a smaller image is a witness."""
+    seq = partial.seq
+    p = len(seq)
     forward = partial.forward
-    if not forward or forward[0][1] or len(candidates) <= 1:
-        return sorted(candidates)
-    remaining = set(candidates)
     out = []
-    for v in sorted(candidates):
-        if v not in remaining:
-            continue
-        out.append(v)
+    for v in candidates:
         for perm, s in forward:
-            if s:
+            if perm[v] < (seq[p - s] if s else v):
                 break
-            remaining.discard(perm[v])
+        else:
+            out.append(v)
     return out
 
 
@@ -374,7 +376,8 @@ def prune(partial: PartialTrace) -> PartialTrace:
     `push` calls this once per step, and `pop` restores what it replaced.
     Pushing v = w_{p-1} after u = w_{p-2} decides, in this order: each
     tied forward alignment by one more comparison, perm[v] against
-    w_{p-1-s}, the prefix stabiliser at start 0 first; once the closing
+    w_{p-1-s}, the prefix stabiliser at start 0 first (the search has
+    made these in `canonical_extension` before the push); once the closing
     vertex c is forced, each backward alignment tied on w_s, ..., w_0
     that has not read it yet by perm[c] against w_{s+1} (all of them at
     the step that forces c, afterwards those tied one step earlier); and
@@ -448,20 +451,9 @@ def prune(partial: PartialTrace) -> PartialTrace:
     return partial
 
 
-@dataclass(frozen=True)
-class _Search:
-    """What one search holds fixed; child processes receive it whole."""
-
-    graph: Graph
-    config: EnumerationConfig
-    aut: AutGroup
-    length: int
-    # `_kind_bound` of the config; 0 (kind any) means no kind check.
-    kind_bound: int
-
-
-def _accept(search: _Search, partial: PartialTrace) -> bool:
-    """Whether a full-length prefix closes into a trace to emit.
+def _accept(partial: PartialTrace, config: EnumerationConfig, bound: int) -> bool:
+    """Whether a full-length prefix the search entered closes into a
+    trace to emit; `bound` is `_kind_bound` of `config`.
 
     The closing step back to w_0 = 0 must respect the orientation, and
     the two pairs it completes must pass the kind lookahead: {w_{2m-2},
@@ -470,25 +462,22 @@ def _accept(search: _Search, partial: PartialTrace) -> bool:
     always has capacity: the unused traversals have odd degree only at
     the walk's two ends, so the single one left after 2m - 1 steps joins
     w_{2m-1} and w_0.
-    The trace is canonical if the prefix has no witness and no image
-    read from the closed walk precedes it.  `prune` compared every
-    alignment on the prefix, so only two kinds remain: the wrapped tails
-    of the alignments still tied (an anchored backward one has already
-    matched the first element of its tail), and the two alignments that
-    start on the closing arc (w_{2m-1}, 0), forwards at s = 2m - 1 and
-    backwards at s = 0.
+    The search entered the prefix, so it has no witness, and the trace
+    is canonical if no image read from the closed walk precedes it.
+    `prune` compared every alignment on the prefix, so only two kinds
+    remain: the wrapped tails of the alignments still tied (an anchored
+    backward one has already matched the first element of its tail),
+    and the two alignments that start on the closing arc (w_{2m-1}, 0),
+    forwards at s = 2m - 1 and backwards at s = 0.
     """
-    if partial.smaller_witness is not None:
-        return False
     seq = partial.seq
     last = seq[-1]
-    orientation = search.config.orientation
+    orientation = config.orientation
     if orientation != "any":
         # The closing edge's second traversal runs last -> 0.
-        first_from_last = partial.edge_from[search.graph.eid_row[last][0]] == last
+        first_from_last = partial.edge_from[partial.graph.eid_row[last][0]] == last
         if first_from_last != (orientation == "parallel"):
             return False
-    bound = search.kind_bound
     if bound and not (
         _kind_lookahead_ok(partial, seq[-2], last, 0, bound)
         and _kind_lookahead_ok(partial, last, 0, 1, bound)
@@ -513,25 +502,29 @@ def _accept(search: _Search, partial: PartialTrace) -> bool:
 
 
 def _descend(
-    partial: PartialTrace, search: _Search, stop: int, out: list[tuple[int, ...]]
+    partial: PartialTrace, config: EnumerationConfig, stop: int, out: list[tuple[int, ...]]
 ) -> None:
     """Exhaust the subtree under one prefix down to length `stop`.
 
     At full length a prefix is a leaf and goes to `out` if `_accept`
     takes it.  At a shorter stop the prefix itself goes to `out` and the
-    search backtracks.  Candidates are tried in increasing order, so
-    `out` grows in lexicographic order.  Children are explored by
-    push/pop on the one search state, whose push advances the tied
-    symmetries and whose pop restores them; each stack frame keeps only
-    the candidate list for its prefix and the index of the next one to
-    try.  The prefix is restored on return.
+    search backtracks.  A prefix's candidates are its feasible steps
+    that pass the kind lookahead and `canonical_extension`, tried in
+    increasing order, so `out` grows in lexicographic order.  Children
+    are explored by push/pop on the one search state, whose push
+    advances the tied symmetries and whose pop restores them; a push
+    that meets a witness, which only a backward alignment can give
+    here, is popped at once.  The stack is explicit, so depth is not
+    bounded by the recursion limit; a frame keeps only the candidate
+    list for its prefix and the index of the next one to try.  The
+    prefix is restored on return.
     """
     seq = partial.seq
-    config = search.config
-    bound = search.kind_bound
-    leaf = stop == search.length
-    adj = search.graph.adj
-    nbr_index = search.graph.nbr_index
+    graph = partial.graph
+    bound = _kind_bound(graph, config)
+    leaf = stop == 2 * graph.m
+    adj = graph.adj
+    nbr_index = graph.nbr_index
 
     def expand() -> list[int]:
         cands = feasible_neighbors(partial, config)
@@ -545,7 +538,7 @@ def _descend(
         return canonical_extension(partial, cands)
 
     if len(seq) == stop:
-        if not leaf or _accept(search, partial):
+        if not leaf or _accept(partial, config, bound):
             out.append(tuple(seq))
         return
     frames: list[list] = [[expand(), 0]]
@@ -564,29 +557,31 @@ def _descend(
             partial.pop()
             continue
         if len(seq) == stop:
-            if not leaf or _accept(search, partial):
+            if not leaf or _accept(partial, config, bound):
                 out.append(tuple(seq))
             partial.pop()
             continue
         frames.append([expand(), 0])
 
 
-def extend_feasibly(partial: PartialTrace, search: _Search, depth: int) -> list[tuple[int, ...]]:
+def extend_feasibly(
+    partial: PartialTrace, config: EnumerationConfig, depth: int
+) -> list[tuple[int, ...]]:
     """The prefixes of length `depth` that the search under `partial` enters.
 
     They come in search order, and each has passed every check the full
     search applies on the way down: feasibility, the kind lookahead,
-    canonical extension and `prune`.  `depth` must be shorter than a
-    full trace.
+    the forward comparisons of `canonical_extension` and the rest of
+    `prune`.  `depth` must be shorter than a full trace.
     """
     out: list[tuple[int, ...]] = []
-    _descend(partial, search, depth, out)
+    _descend(partial, config, depth, out)
     return out
 
 
 def _search_dealt(
     partial: PartialTrace,
-    search: _Search,
+    config: EnumerationConfig,
     prefixes: list[tuple[int, ...]],
     counter,
 ) -> list[tuple[int, list[tuple[int, ...]]]]:
@@ -605,14 +600,14 @@ def _search_dealt(
             return parts
         partial.move_to(prefixes[index])
         traces: list[tuple[int, ...]] = []
-        _descend(partial, search, search.length, traces)
+        _descend(partial, config, 2 * partial.graph.m, traces)
         parts.append((index, traces))
 
 
-def _search_child(partial, search, prefixes, counter, conn) -> None:
+def _search_child(partial, config, prefixes, counter, conn) -> None:
     """A worker process: its share of the frontier, sent back whole once
     the counter runs out, so that it never waits on the caller mid-search."""
-    conn.send(_search_dealt(partial, search, prefixes, counter))
+    conn.send(_search_dealt(partial, config, prefixes, counter))
     conn.close()
 
 
@@ -640,17 +635,16 @@ def enumerate_traces(
         config = EnumerationConfig()
     if aut is None:
         aut = automorphisms(graph)
-    search = _Search(graph, config, aut, 2 * graph.m, _kind_bound(graph, config))
     partial = PartialTrace(graph, aut)
     if jobs > 1:
-        return _enumerate_parallel(partial, search, jobs)
+        return _enumerate_parallel(partial, config, jobs)
     out: list[tuple[int, ...]] = []
-    _descend(partial, search, search.length, out)
+    _descend(partial, config, 2 * graph.m, out)
     return out
 
 
 def _enumerate_parallel(
-    partial: PartialTrace, search: _Search, jobs: int
+    partial: PartialTrace, config: EnumerationConfig, jobs: int
 ) -> list[tuple[int, ...]]:
     """Split the search at the shallowest frontier wide enough for `jobs`.
 
@@ -669,12 +663,13 @@ def _enumerate_parallel(
     """
     import multiprocessing
 
+    length = 2 * partial.graph.m
     prefixes = [tuple(partial.seq)]
     depth = len(partial)
-    while 0 < len(prefixes) < FRONTIER_PER_JOB * jobs and depth + 1 < search.length:
+    while 0 < len(prefixes) < FRONTIER_PER_JOB * jobs and depth + 1 < length:
         depth += 1
-        prefixes = extend_feasibly(partial, search, depth)
-    split = len(prefixes) > 1 and depth + 1 < search.length
+        prefixes = extend_feasibly(partial, config, depth)
+    split = len(prefixes) > 1 and depth + 1 < length
     counter = multiprocessing.Value("i", 0)
     parts: list[list[tuple[int, ...]] | None] = [None] * len(prefixes)
     children = []
@@ -683,13 +678,13 @@ def _enumerate_parallel(
             receiver, sender = multiprocessing.Pipe(duplex=False)
             child = multiprocessing.Process(
                 target=_search_child,
-                args=(partial, search, prefixes, counter, sender),
+                args=(partial, config, prefixes, counter, sender),
                 daemon=True,
             )
             child.start()
             sender.close()
             children.append((child, receiver))
-        for index, traces in _search_dealt(partial, search, prefixes, counter):
+        for index, traces in _search_dealt(partial, config, prefixes, counter):
             parts[index] = traces
         for child, receiver in children:
             try:

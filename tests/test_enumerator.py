@@ -1,5 +1,6 @@
 import multiprocessing
 import random
+import sys
 import warnings
 
 import pytest
@@ -31,7 +32,6 @@ from doubletrace.enumerator import (
     _accept,
     _kind_bound,
     _kind_lookahead_ok,
-    _Search,
     extend_feasibly,
 )
 
@@ -47,9 +47,9 @@ def build_partial(graph, seq):
     return pt
 
 
-def make_search(graph, config):
-    """The search record enumerate_traces builds."""
-    return _Search(graph, config, automorphisms(graph), 2 * graph.m, _kind_bound(graph, config))
+def accept(pt, config):
+    """`_accept` with the kind bound the search passes it."""
+    return _accept(pt, config, _kind_bound(pt.graph, config))
 
 
 class TestPartialTrace:
@@ -271,12 +271,9 @@ class TestFeasibleNeighbors:
         prefix = (0, 1, 0, 2, 1, 2)
         for orientation, accepted in (("any", True), ("antiparallel", True), ("parallel", False)):
             cfg = EnumerationConfig(orientation=orientation)
-            search = make_search(triangle, cfg)
-            pt = PartialTrace(search.graph, search.aut)
-            for v in prefix[2:]:
-                pt.push(v)
+            pt = build_partial(triangle, prefix)
             assert feasible_neighbors(pt, cfg) == []
-            assert _accept(search, pt) is accepted
+            assert accept(pt, cfg) is accepted
 
 
 class TestClosingPairs:
@@ -287,13 +284,13 @@ class TestClosingPairs:
     def replay(graph, cfg, trace):
         """The search state for `trace`, and whether every in-search
         kind lookahead passed on the way."""
-        search = make_search(graph, cfg)
-        pt = PartialTrace(search.graph, search.aut)
+        bound = _kind_bound(graph, cfg)
+        pt = PartialTrace(graph, automorphisms(graph))
         passed = True
         for v in trace[2:]:
-            passed = passed and _kind_lookahead_ok(pt, pt.seq[-2], pt.seq[-1], v, search.kind_bound)
+            passed = passed and _kind_lookahead_ok(pt, pt.seq[-2], pt.seq[-1], v, bound)
             pt.push(v)
-        return search, pt, passed
+        return pt, passed
 
     @pytest.mark.parametrize(
         "trace,at_last,at_start",
@@ -307,13 +304,15 @@ class TestClosingPairs:
         # The first trace pairs 0 with itself at w_11 = 3, the second 1
         # with itself at w_0 = 0: a one-vertex repetition each, seen by
         # no lookahead before the closing step.
-        search, pt, passed = self.replay(k4, EnumerationConfig(kind="stable", d=1), trace)
+        cfg = EnumerationConfig(kind="stable", d=1)
+        pt, passed = self.replay(k4, cfg, trace)
         assert passed
         assert _kind_lookahead_ok(pt, trace[-2], trace[-1], 0, 1) is at_last
         assert _kind_lookahead_ok(pt, trace[-1], 0, 1, 1) is at_start
-        # Neither prefix is canonical either, so `_accept` has two reasons.
+        # Neither prefix is canonical either, so the search would have
+        # cut it on the way down; `_accept` rejects it for its kind alone.
         assert pt.smaller_witness is not None
-        assert not _accept(search, pt)
+        assert not accept(pt, cfg)
 
     @pytest.mark.parametrize(
         "graph,trace,at_last,at_start",
@@ -336,12 +335,13 @@ class TestClosingPairs:
     def test_canonical_prefix_rejected_by_one_closing_pair(self, graph, trace, at_last, at_start):
         # Canonical traces of kind any, so `_accept` takes them unless
         # asked for stable(1), where one closing pair alone rejects them.
-        search, pt, passed = self.replay(graph, EnumerationConfig(kind="stable", d=1), trace)
+        cfg = EnumerationConfig(kind="stable", d=1)
+        pt, passed = self.replay(graph, cfg, trace)
         assert passed and pt.smaller_witness is None
         assert _kind_lookahead_ok(pt, trace[-2], trace[-1], 0, 1) is at_last
         assert _kind_lookahead_ok(pt, trace[-1], 0, 1, 1) is at_start
-        assert not _accept(search, pt)
-        assert _accept(make_search(graph, EnumerationConfig()), pt)
+        assert not accept(pt, cfg)
+        assert accept(pt, EnumerationConfig())
         assert len(pt) == 2 * graph.m
 
 
@@ -352,19 +352,19 @@ class TestCanonicalExtension:
         pt = build_partial(k4, (0, 1))
         assert canonical_extension(pt, [0, 2, 3]) == [0, 2]
 
-    def test_unsorted_input(self, k4):
-        pt = build_partial(k4, (0, 1))
-        assert canonical_extension(pt, [3, 0, 2]) == [0, 2]
-
     def test_singleton(self, k4):
         pt = build_partial(k4, (0, 1))
         assert canonical_extension(pt, [2]) == [2]
 
-    def test_trivial_stabilizer_keeps_all(self, k4):
-        # After 0,1,2 no nontrivial automorphism fixes the prefix, so no
-        # candidates collapse.
+    def test_trivial_stabilizer_drops_a_forward_witness(self, k4):
+        # After 0,1,2 no nontrivial automorphism fixes the prefix, but the
+        # forward alignment from w_1 by (2, 0, 1, 3) maps 1,2 onto 0,1 and
+        # would map a pushed 1 onto 0, below w_2 = 2.
         pt = build_partial(k4, (0, 1, 2))
-        assert canonical_extension(pt, [0, 1, 3]) == [0, 1, 3]
+        assert start_zero_alignments(pt) == []
+        assert canonical_extension(pt, [0, 1, 3]) == [0, 3]
+        pt.push(1)
+        assert pt.smaller_witness == SymmetryElement((2, 0, 1, 3), 1, False)
 
 
 def start_zero_alignments(pt):
@@ -493,8 +493,7 @@ def search_state(pt):
 class TestReplay:
     def test_witnessed_prefix_is_refused(self, triangle):
         # 0,1,2,1 has a witness, so no frontier holds it.
-        search = make_search(triangle, EnumerationConfig())
-        pt = PartialTrace(search.graph, search.aut)
+        pt = PartialTrace(triangle, automorphisms(triangle))
         with pytest.raises(AssertionError, match="replayed prefix was pruned"):
             pt.move_to((0, 1, 2, 1))
 
@@ -510,13 +509,13 @@ class TestReplay:
         # One state moved across every frontier, shallowest first, as the
         # parallel driver moves it across one frontier.
         graph = named_graph(name, k)
-        search = make_search(graph, cfg)
-        moved = PartialTrace(search.graph, search.aut)
-        for depth in range(3, search.length):
-            frontier = extend_feasibly(PartialTrace(search.graph, search.aut), search, depth)
+        aut = automorphisms(graph)
+        moved = PartialTrace(graph, aut)
+        for depth in range(3, 2 * graph.m):
+            frontier = extend_feasibly(PartialTrace(graph, aut), cfg, depth)
             for prefix in frontier:
                 moved.move_to(prefix)
-                fresh = PartialTrace(search.graph, search.aut)
+                fresh = PartialTrace(graph, aut)
                 for v in prefix[2:]:
                     fresh.push(v)
                 assert search_state(moved) == search_state(fresh), prefix
@@ -524,13 +523,13 @@ class TestReplay:
 
 class TestExtendFeasibly:
     def test_frontier_in_search_order(self, k4):
-        search = make_search(k4, EnumerationConfig(kind="strong"))
-        pt = PartialTrace(search.graph, search.aut)
+        cfg = EnumerationConfig(kind="strong")
+        pt = PartialTrace(k4, automorphisms(k4))
         # The kind lookahead cuts 0,1,0: pairing 0 with itself at vertex 1
         # fills both pair slots of 0 there, leaving {0} a repetition.
-        assert extend_feasibly(pt, search, 3) == [(0, 1, 2)]
-        assert extend_feasibly(pt, search, 4) == [(0, 1, 2, 0), (0, 1, 2, 3)]
-        frontier = extend_feasibly(pt, search, 6)
+        assert extend_feasibly(pt, cfg, 3) == [(0, 1, 2)]
+        assert extend_feasibly(pt, cfg, 4) == [(0, 1, 2, 0), (0, 1, 2, 3)]
+        frontier = extend_feasibly(pt, cfg, 6)
         assert frontier == sorted(frontier)
         assert pt.seq == [0, 1]
         # The frontier covers the output.
@@ -540,10 +539,8 @@ class TestExtendFeasibly:
     def test_pruned_children_are_dropped(self, triangle):
         # From 0,1,2 the only extensions are 0 and 1, and 0,1,2,1 is
         # killed by its witness.
-        search = make_search(triangle, EnumerationConfig())
-        pt = PartialTrace(search.graph, search.aut)
-        pt.push(2)
-        assert extend_feasibly(pt, search, 4) == [(0, 1, 2, 0)]
+        pt = build_partial(triangle, (0, 1, 2))
+        assert extend_feasibly(pt, EnumerationConfig(), 4) == [(0, 1, 2, 0)]
         assert pt.seq == [0, 1, 2]
 
 
@@ -604,12 +601,43 @@ SEARCH_TREE_WIDTHS = [
 )
 def test_search_tree_widths_are_pinned(name, k, cfg, widths, widths_before):
     graph = named_graph(name, k)
-    search = make_search(graph, cfg)
-    pt = PartialTrace(search.graph, search.aut)
-    got = [len(extend_feasibly(pt, search, d)) for d in range(3, 2 * graph.m)]
+    pt = PartialTrace(graph, automorphisms(graph))
+    got = [len(extend_feasibly(pt, cfg, d)) for d in range(3, 2 * graph.m)]
     assert got == widths
     assert len(got) == len(widths_before)
     assert all(new <= old for new, old in zip(got, widths_before))
+
+
+# Pushes (`prune` calls) of the serial search on the same rows, and
+# before `canonical_extension` made every tied forward comparison ahead
+# of the push, which saves pushes and cuts nothing: the widths above
+# held.  No count may exceed its old value.
+SEARCH_PUSHES = {
+    "tetrahedron-strong": (42, 51),
+    "prism3-strong": (517, 569),
+    "prism3-stable1-antiparallel": (156, 179),
+    "pyramid4-stable2": (1005, 1064),
+    "tetrahedron-any": (241, 300),
+}
+
+
+@pytest.mark.parametrize(
+    "name,k,cfg,pushes,pushes_before",
+    [row[:3] + counts for row, counts in zip(SEARCH_TREE_WIDTHS, SEARCH_PUSHES.values())],
+    ids=SEARCH_PUSHES.keys(),
+)
+def test_search_pushes_are_pinned(monkeypatch, name, k, cfg, pushes, pushes_before):
+    calls = 0
+    original = enumerator.prune
+
+    def counting(partial):
+        nonlocal calls
+        calls += 1
+        return original(partial)
+
+    monkeypatch.setattr(enumerator, "prune", counting)
+    enumerate_traces(named_graph(name, k), cfg)
+    assert calls == pushes <= pushes_before
 
 
 TRIANGLE_EXPECTED = {
@@ -738,6 +766,15 @@ class TestEnumerateTraces:
         aut = automorphisms(k4)
         assert enumerate_traces(k4, aut=aut) == enumerate_traces(k4)
 
+    def test_path_longer_than_the_recursion_limit(self):
+        # Neither the automorphism backtracking nor the search recurses
+        # once per vertex or per step.
+        n = sys.getrecursionlimit() + 100
+        graph = Graph(n, [(i, i + 1) for i in range(n - 1)])
+        aut = automorphisms(graph)
+        assert aut.order == 2
+        assert len(enumerate_traces(graph, EnumerationConfig(kind="strong"), aut=aut)) == 1
+
 
 def random_graphs(seed, count):
     """Connected graphs with 6 <= m <= 10, minimum degree 2 and at most
@@ -781,10 +818,12 @@ LEAF_CHECK_GRAPHS = [
 def test_leaf_check_matches_is_canonical(graph):
     # Replay every double trace starting 0 1 through `push` (and so
     # `prune`) and `_accept`, also past a witness, where the search would
-    # have stopped.  Sorted traces share prefixes, so each step is pushed
-    # once per subtree.
-    search = make_search(graph, EnumerationConfig())
-    pt = PartialTrace(search.graph, search.aut)
+    # have stopped: the search's verdict is no witness and `_accept`.
+    # Sorted traces share prefixes, so each step is pushed once per
+    # subtree.
+    aut = automorphisms(graph)
+    cfg = EnumerationConfig()
+    pt = PartialTrace(graph, aut)
     verdicts = set()
     for w in sorted(brute_enumerate(graph, EnumerationConfig())):
         common = 2
@@ -794,8 +833,8 @@ def test_leaf_check_matches_is_canonical(graph):
             pt.pop()
         for v in w[common:]:
             pt.push(v)
-        accepted = _accept(search, pt)
-        assert accepted == is_canonical(graph, w, search.aut), w
+        accepted = pt.smaller_witness is None and accept(pt, cfg)
+        assert accepted == is_canonical(graph, w, aut), w
         verdicts.add(accepted)
     assert verdicts == {True, False}
 
@@ -837,39 +876,42 @@ def test_pendant_start_vertex_serial_and_parallel_match_oracle(graph):
         assert enumerate_traces(graph, cfg, jobs=2) == expected, cfg.describe()
 
 
-def test_canonical_extension_drops_exactly_the_relabel_witnesses():
+def test_canonical_extension_drops_exactly_the_forward_witnesses():
     # Walk whole searches for every config.  At every node push each
-    # candidate that passed the kind lookahead: `prune` gives a new
-    # relabel witness (start 0, forwards) to exactly those that
-    # `canonical_extension` drops, so dropping them cuts nothing more.
+    # candidate that passed the kind lookahead: `prune` gives a forward
+    # witness to exactly those that `canonical_extension` drops, so
+    # dropping them cuts nothing more.  The candidates come in increasing
+    # order, and the kept ones keep it.
     graphs = [named_graph("tetrahedron"), *PENDANT_START_GRAPHS.values(), random_graphs(3, 6)[1]]
     dropped = 0
     for graph in graphs:
         for cfg in ALL_CONFIGS:
-            search = make_search(graph, cfg)
-            pt = PartialTrace(search.graph, search.aut)
+            pt = PartialTrace(graph, automorphisms(graph))
             seq = pt.seq
-            bound = search.kind_bound
+            bound = _kind_bound(graph, cfg)
 
             def walk():
                 nonlocal dropped
-                if len(seq) == search.length:
+                if len(seq) == 2 * graph.m:
                     return
                 cands = [
                     v
                     for v in feasible_neighbors(pt, cfg)
                     if not bound or _kind_lookahead_ok(pt, seq[-2], seq[-1], v, bound)
                 ]
+                assert cands == sorted(cands), seq
                 kept = canonical_extension(pt, cands)
                 dropped += len(cands) - len(kept)
+                expected = []
                 for v in cands:
                     pt.push(v)
                     w = pt.smaller_witness
-                    relabel_witness = w is not None and w == SymmetryElement(w.perm, 0, False)
-                    assert relabel_witness is (v not in kept), (seq, cfg.describe())
+                    if w is None or w.reverse:
+                        expected.append(v)
                     if w is None:
                         walk()
                     pt.pop()
+                assert kept == expected, (seq, cfg.describe())
 
             walk()
     # Not vacuous: some candidates are dropped.
@@ -918,9 +960,8 @@ def test_kind_lookahead_matches_reference_and_cuts_at_most_one_step(graph):
         EnumerationConfig(kind="stable", d=2),
         EnumerationConfig(kind="strong"),
     ):
-        search = make_search(graph, cfg)
-        bound = search.kind_bound
-        pt = PartialTrace(search.graph, search.aut)
+        bound = _kind_bound(graph, cfg)
+        pt = PartialTrace(graph, automorphisms(graph))
         seq = pt.seq
 
         def check(a, u, v):
@@ -930,7 +971,7 @@ def test_kind_lookahead_matches_reference_and_cuts_at_most_one_step(graph):
             return got
 
         def walk():
-            if len(seq) == search.length:
+            if len(seq) == 2 * graph.m:
                 check(seq[-2], seq[-1], 0)
                 check(seq[-1], 0, 1)
                 return
