@@ -62,63 +62,40 @@ class AutGroup:
         return "\n".join(" ".join(str(x) for x in p) for p in self.elements)
 
 
-def equitable_partition(graph: Graph) -> list[list[int]]:
-    """Coarsest degree-based equitable partition (iterated neighbour counts)."""
-    colors = [graph.degree(v) for v in range(graph.n)]
-    while True:
-        signatures = [
-            (colors[v], tuple(sorted(colors[u] for u in graph.adj[v])))
-            for v in range(graph.n)
-        ]
-        palette = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
-        new_colors = [palette[signatures[v]] for v in range(graph.n)]
-        if new_colors == colors:
-            break
-        colors = new_colors
-    cells: dict[int, list[int]] = {}
-    for v in range(graph.n):
-        cells.setdefault(colors[v], []).append(v)
-    return [sorted(cells[c]) for c in sorted(cells)]
-
-
 def automorphisms(graph: Graph) -> AutGroup:
-    """All automorphisms, by backtracking over the equitable partition.
+    """All automorphisms, by backtracking along a breadth-first tree.
 
-    Vertices are matched in breadth-first order starting from a smallest
-    cell, candidate images are drawn from the vertex's own cell, and every
-    partial assignment is checked for adjacency consistency against all
-    previously matched vertices.  The backtracking keeps its own stack,
-    so the number of vertices is not bounded by the recursion limit.
+    Vertices are matched in breadth-first order from a vertex of minimum
+    degree.  The root may map to any vertex of its degree and every later
+    vertex to a neighbour of its tree parent's image, which finds every
+    automorphism because the graph is connected.  An image must have the
+    vertex's degree and be adjacent to exactly the images of its
+    neighbours matched so far, so each full assignment is an
+    automorphism.  The backtracking keeps its own stack, so the number of
+    vertices is not bounded by the recursion limit.
     """
     n = graph.n
-    cells = equitable_partition(graph)
-    cell_index = [0] * n
-    for ci, cell in enumerate(cells):
-        for v in cell:
-            cell_index[v] = ci
-    start_cell = min(cells, key=lambda c: (len(c), c[0]))
-    # Breadth-first vertex order keeps early assignments adjacent to each
-    # other, which makes the consistency check prune quickly.
-    order = []
-    seen = [False] * n
-    queue = [start_cell[0]]
-    seen[start_cell[0]] = True
-    while queue:
-        u = queue.pop(0)
-        order.append(u)
-        for v in graph.adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                queue.append(v)
+    adj = graph.adj
+    deg = [len(a) for a in adj]
+    root = deg.index(min(deg))
+    order = [root]
+    # parent[v] < 0 until v is reached; the root is its own parent.
+    parent = [-1] * n
+    parent[root] = root
+    for u in order:
+        for v in adj[u]:
+            if parent[v] < 0:
+                parent[v] = u
+                order.append(v)
     masks = [0] * n
     for u in range(n):
-        for v in graph.adj[u]:
+        for v in adj[u]:
             masks[u] |= 1 << v
     image = [-1] * n
     # Bit mask of the images taken so far.
     taken = 0
     found: list[tuple[int, ...]] = []
-    # tried[k]: how many images from its cell order[k] has tried so far.
+    # tried[k]: how many of its candidate images order[k] has tried so far.
     tried = [0] * n
     k = 0
     while k >= 0:
@@ -130,16 +107,14 @@ def automorphisms(graph: Graph) -> AutGroup:
         if image[v] >= 0:
             taken ^= 1 << image[v]
             image[v] = -1
-        # x may be v's image iff its neighbours among the images taken
-        # are exactly the images of v's neighbours matched so far.
         target = 0
-        for u in graph.adj[v]:
+        for u in adj[v]:
             if image[u] >= 0:
                 target |= 1 << image[u]
-        cell = cells[cell_index[v]]
-        for i in range(tried[k], len(cell)):
-            x = cell[i]
-            if not (taken >> x) & 1 and masks[x] & taken == target:
+        candidates = adj[image[parent[v]]] if k else range(n)
+        for i in range(tried[k], len(candidates)):
+            x = candidates[i]
+            if deg[x] == deg[v] and not (taken >> x) & 1 and masks[x] & taken == target:
                 image[v] = x
                 taken |= 1 << x
                 tried[k] = i + 1

@@ -83,7 +83,7 @@ def _load_graph(args: argparse.Namespace) -> LoadedGraph:
         try:
             with open(args.edges, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read {args.edges}: {exc}") from None
         try:
             graph = parse_edge_list(text)

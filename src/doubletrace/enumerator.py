@@ -185,10 +185,16 @@ class PartialTrace:
         # A leaf 0 is left for the last time at the root.
         self.closing = 1 if graph.degree(0) == 1 else -1
         n = aut.n
-        rows: list[list[list[tuple[int, ...]]]] = [[[] for _ in range(n)] for _ in range(n)]
+        # Only the rows of arcs some automorphism maps onto (0, 1) are
+        # built; all others share one row of empty cells.
+        rows: dict[int, dict[int, list[tuple[int, ...]]]] = {}
         for p in aut.elements:
-            rows[p.index(0)][p.index(1)].append(p)
-        self._arc_index = tuple(tuple(tuple(cell) for cell in row) for row in rows)
+            rows.setdefault(p.index(0), {}).setdefault(p.index(1), []).append(p)
+        empty = ((),) * n
+        self._arc_index = tuple(
+            tuple(tuple(rows[a].get(b, ())) for b in range(n)) if a in rows else empty
+            for a in range(n)
+        )
         identity = tuple(range(n))
         self.forward = [(p, 0) for p in self._arc_index[0][1] if p != identity]
         self.backward = [(p, 1) for p in self._arc_index[1][0]]

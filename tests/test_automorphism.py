@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import networkx as nx
 import pytest
@@ -12,12 +13,12 @@ from doubletrace import (
     inverse_symmetry,
     invert,
     is_automorphism,
+    NAMED_GRAPH_NAMES,
     named_graph,
     symmetry_elements,
     symmetry_group_order,
     Graph,
 )
-from doubletrace.automorphism import equitable_partition
 
 from conftest import brute_automorphisms
 
@@ -115,11 +116,6 @@ class TestAutomorphisms:
         assert text.splitlines()[0] == "0 1 2"
         assert len(text.splitlines()) == 6
 
-    def test_equitable_partition_separates_degrees(self, pyramid4):
-        cells = equitable_partition(pyramid4)
-        # The apex (degree 4) sits alone; the rim forms one cell.
-        assert [len(c) for c in cells] == [4, 1] or [len(c) for c in cells] == [1, 4]
-
     def test_asymmetric_graph(self):
         # Path of length 3 with one pendant: only the identity.
         g = Graph(5, [(0, 1), (1, 2), (2, 3), (1, 4)])
@@ -128,6 +124,76 @@ class TestAutomorphisms:
         # vertices 3 (pendant at 2) and 4 (pendant at 1) are not symmetric,
         # but 0 and 4 are both pendants of vertex 1.
         assert set(aut.elements) == {(0, 1, 2, 3, 4), (4, 1, 2, 3, 0)}
+
+
+def networkx_automorphisms(graph):
+    nxg = nx.Graph(list(graph.edges))
+    matcher = nx.algorithms.isomorphism.GraphMatcher(nxg, nxg)
+    return {tuple(m[v] for v in range(graph.n)) for m in matcher.isomorphisms_iter()}
+
+
+def random_trees(rng, count):
+    return [
+        Graph(n, [(rng.randrange(v), v) for v in range(1, n)])
+        for n in (rng.randint(2, 14) for _ in range(count))
+    ]
+
+
+def sparse_random_graphs(rng, count):
+    """A random spanning tree plus one to three chords."""
+    out = []
+    for tree in random_trees(rng, count):
+        edges = set(tree.edges)
+        pairs = [(u, v) for u in range(tree.n) for v in range(u + 1, tree.n)]
+        for _ in range(rng.randint(1, 3)):
+            edges.add(rng.choice(pairs))
+        out.append(Graph(tree.n, edges))
+    return out
+
+
+def caterpillars(rng, count):
+    """A path with up to two pendant vertices hung on each of its vertices."""
+    out = []
+    for _ in range(count):
+        spine = rng.randint(2, 6)
+        edges = [(i, i + 1) for i in range(spine - 1)]
+        n = spine
+        for i in range(spine):
+            for _ in range(rng.randint(0, 2)):
+                edges.append((i, n))
+                n += 1
+        out.append(Graph(n, edges))
+    return out
+
+
+def named_family_graphs():
+    out = []
+    for name in NAMED_GRAPH_NAMES:
+        if name.endswith(":k"):
+            out.extend(named_graph(name[:-2], k) for k in range(3, 7))
+        else:
+            out.append(named_graph(name))
+    return out
+
+
+class TestAutomorphismsAgainstNetworkx:
+    @pytest.mark.parametrize(
+        "family", [random_trees, sparse_random_graphs, caterpillars], ids=lambda f: f.__name__
+    )
+    def test_random_families(self, family):
+        splits = 0
+        for graph in family(random.Random(14), 40):
+            elements = automorphisms(graph).elements
+            assert set(elements) == networkx_automorphisms(graph)
+            orbits = {frozenset(p[v] for p in elements) for v in range(graph.n)}
+            splits += len(orbits) > len(set(graph.degree_sequence()))
+        # Degree alone does not decide the orbits: in some graphs two
+        # vertices of one degree lie in different orbits.
+        assert splits > 0
+
+    def test_named_families(self):
+        for graph in named_family_graphs():
+            assert set(automorphisms(graph).elements) == networkx_automorphisms(graph)
 
 
 class TestSymmetryElements:

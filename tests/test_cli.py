@@ -204,6 +204,14 @@ class TestUsageErrors:
         assert err.startswith(f"error: cannot write {target}")
         assert not target.exists()
 
+    def test_edges_file_not_utf8(self, capsys, tmp_path):
+        target = tmp_path / "latin1.txt"
+        target.write_bytes(b"0 1\n1 2 \xe9\n")
+        code, out, err = run(capsys, "enumerate", "--edges", str(target))
+        assert code == EXIT_USAGE
+        assert err.startswith(f"error: cannot read {target}: 'utf-8' codec")
+        assert out == ""
+
     def test_missing_graph_source(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["enumerate", "--kind", "strong"])

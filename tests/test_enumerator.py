@@ -1,6 +1,7 @@
 import multiprocessing
 import random
 import sys
+import tracemalloc
 import warnings
 
 import pytest
@@ -57,6 +58,23 @@ class TestPartialTrace:
         g = Graph(3, [(0, 2), (1, 2)])
         with pytest.raises(ValueError, match="adjacent"):
             PartialTrace(g, automorphisms(g))
+
+    def test_long_path_allocates_no_square_table(self):
+        # A 600-vertex path has two automorphisms; an n x n table of
+        # lists of them would take over 20 MB.
+        n = 600
+        graph = Graph(n, [(i, i + 1) for i in range(n - 1)])
+        aut = automorphisms(graph)
+        tracemalloc.start()
+        try:
+            pt = PartialTrace(graph, aut)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+        assert pt._arc_index[0][1] == (aut.elements[0],)
+        assert pt._arc_index[n - 1][n - 2] == (aut.elements[1],)
+        assert pt._arc_index[1][0] == ()
 
     def test_push_updates_bookkeeping(self, triangle):
         pt = build_partial(triangle, (0, 1, 2, 0))
