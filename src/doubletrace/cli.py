@@ -81,7 +81,8 @@ def _load_graph(args: argparse.Namespace) -> LoadedGraph:
         label = "graph6"
     else:
         try:
-            with open(args.edges, "r", encoding="utf-8") as handle:
+            # utf-8-sig also drops a leading byte-order mark.
+            with open(args.edges, "r", encoding="utf-8-sig") as handle:
                 text = handle.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read {args.edges}: {exc}") from None

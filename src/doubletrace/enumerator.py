@@ -61,7 +61,9 @@ frontier order, and the output is identical to the serial search's.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections import Counter
+from itertools import combinations
+from typing import Iterable, Sequence
 
 from .automorphism import AutGroup, SymmetryElement, automorphisms
 from .graph import Graph, SizeGuardError
@@ -105,10 +107,10 @@ class PartialTrace:
     pairs at w_0 and at the final vertex close only when the walk does).
     A neighbour has two pair slots at u, one per traversal of their
     edge, so the pairs at u form paths and cycles over u's neighbours.
-    `mate[u][i]` is the index of the far end of the path ending at
-    adj[u][i] (i itself while that neighbour is unpaired) and
-    `span[u][i]` the path's number of neighbours; both are kept up to
-    date at path ends only.
+    `mate[u][a]` is the far end of the path ending at the neighbour a (a
+    itself while unpaired) and `span[u][a]` the path's number of
+    neighbours; both are keyed by neighbour, as in SIMPATH's mate array
+    (Knuth, TAOCP 7.1.4), and kept up to date at path ends only.
 
     `closing` is the walk's last vertex w_{2m-1} once it is forced, else
     -1.  Vertex 0 has 2 deg(0) traversals: w_0 uses one, each later visit
@@ -180,8 +182,8 @@ class PartialTrace:
         self.edge_from = [-1] * graph.m
         self.edge_from[e] = 0
         self.zero_visits = 1
-        self.mate: list[list[int]] = [list(range(len(a))) for a in graph.adj]
-        self.span: list[list[int]] = [[1] * len(a) for a in graph.adj]
+        self.mate: list[dict[int, int]] = [{a: a for a in row} for row in graph.adj]
+        self.span: list[dict[int, int]] = [dict.fromkeys(row, 1) for row in graph.adj]
         # A leaf 0 is left for the last time at the root.
         self.closing = 1 if graph.degree(0) == 1 else -1
         n = aut.n
@@ -213,16 +215,13 @@ class PartialTrace:
         self.edge_count[e] += 1
         if v == 0:
             self.zero_visits += 1
-        idx = self.graph.nbr_index[u]
-        ia = idx[seq[-2]]
-        ib = idx[v]
         mate = self.mate[u]
-        ea = mate[ia]
-        if ea == ib:
+        ea = mate[seq[-2]]
+        if ea == v:
             # The pair closes a path into a cycle, which nothing extends.
             ea = eb = span_a = span_b = -1
         else:
-            eb = mate[ib]
+            eb = mate[v]
             span = self.span[u]
             span_a = span[ea]
             span_b = span[eb]
@@ -230,14 +229,13 @@ class PartialTrace:
             mate[eb] = ea
             span[ea] = span[eb] = span_a + span_b
         self._journal.append(
-            (e, first, ia, ib, ea, eb, span_a, span_b,
+            (e, first, ea, eb, span_a, span_b,
              self.forward, self.backward, self.anchored, self.smaller_witness)
         )
         seq.append(v)
         if u == 0 and self.zero_visits == len(self.graph.adj[0]):
-            eid_0 = self.graph.eid_row[0]
-            for c in self.graph.adj[0]:
-                if self.edge_count[eid_0[c]] < 2:
+            for c, e0 in self.graph.eid_row[0].items():
+                if self.edge_count[e0] < 2:
                     self.closing = c
                     break
         prune(self)
@@ -246,7 +244,7 @@ class PartialTrace:
         """Undo the most recent push, the symmetries that its `prune`
         replaced included (not valid below the base prefix)."""
         v = self.seq.pop()
-        (e, first, ia, ib, ea, eb, span_a, span_b, self.forward,
+        (e, first, ea, eb, span_a, span_b, self.forward,
          self.backward, self.anchored, self.smaller_witness) = self._journal.pop()
         self.edge_count[e] -= 1
         if first:
@@ -257,9 +255,10 @@ class PartialTrace:
         if u == 0:
             self.closing = -1
         if ea >= 0:
+            # The pair joined the paths ending at w_{p-2} and at v.
             mate = self.mate[u]
-            mate[ea] = ia
-            mate[eb] = ib
+            mate[ea] = self.seq[-2]
+            mate[eb] = v
             span = self.span[u]
             span[ea] = span_a
             span[eb] = span_b
@@ -304,7 +303,7 @@ def _kind_lookahead_ok(partial: PartialTrace, a: int, u: int, v: int, bound: int
     is a path or a cycle (see `PartialTrace`), saturated exactly when it
     is a cycle.  Both a and v have a free slot, so both end paths, and
     the pair closes a cycle exactly when v is the far end of a's path,
-    `mate[u][idx a] == idx v`; that covers the self-pair {a, a} of an
+    `mate[u][a] == v`; that covers the self-pair {a, a} of an
     unpaired a and a pair repeated at u.  So of the steps out of u only
     the one to that far end can fail.  Every component is saturated by
     its last pair, so each one is checked exactly when it becomes final,
@@ -312,12 +311,12 @@ def _kind_lookahead_ok(partial: PartialTrace, a: int, u: int, v: int, bound: int
     completes, {w_{2m-2}, w_0} at w_{2m-1} and {w_{2m-1}, w_1} at w_0,
     are checked the same way by `_accept`.
     """
-    idx = partial.graph.nbr_index[u]
-    ia = idx[a]
-    if partial.mate[u][ia] != idx[v]:
+    mate = partial.mate[u]
+    if mate[a] != v:
         return True
-    size = partial.span[u][ia]
-    return size > bound or size == len(idx)
+    size = partial.span[u][a]
+    # `mate[u]` has one entry per neighbour of u.
+    return size > bound or size == len(mate)
 
 
 def feasible_neighbors(partial: PartialTrace, config: EnumerationConfig) -> list[int]:
@@ -336,12 +335,10 @@ def feasible_neighbors(partial: PartialTrace, config: EnumerationConfig) -> list
     parallel = orientation == "parallel"
     edge_count = partial.edge_count
     edge_from = partial.edge_from
-    eid_u = graph.eid_row[u]
     # The edge c-0 has exactly one traversal used while c is forced.
     reserved = 0 if u == partial.closing else -1
     out = []
-    for v in graph.adj[u]:
-        e = eid_u[v]
+    for v, e in graph.eid_row[u].items():
         c = edge_count[e]
         if c == 2:
             continue
@@ -529,8 +526,6 @@ def _descend(
     graph = partial.graph
     bound = _kind_bound(graph, config)
     leaf = stop == 2 * graph.m
-    adj = graph.adj
-    nbr_index = graph.nbr_index
 
     def expand() -> list[int]:
         cands = feasible_neighbors(partial, config)
@@ -538,7 +533,7 @@ def _descend(
             # Only the step to the far end of a's path can fail.
             a = seq[-2]
             u = seq[-1]
-            v = adj[u][partial.mate[u][nbr_index[u][a]]]
+            v = partial.mate[u][a]
             if v in cands and not _kind_lookahead_ok(partial, a, u, v, bound):
                 cands.remove(v)
         return canonical_extension(partial, cands)
@@ -717,6 +712,26 @@ def admits_parallel_strong(graph: Graph) -> bool:
     return all(graph.degree(v) % 2 == 0 for v in range(graph.n))
 
 
+def _union_find(n: int, edges: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
+    """Join the edges on vertices 0..n-1: each vertex's root, and the
+    number of edges that joined two components."""
+    parent = list(range(n))
+
+    def root(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    joins = 0
+    for u, v in edges:
+        ru, rv = root(u), root(v)
+        if ru != rv:
+            parent[ru] = rv
+            joins += 1
+    return [root(x) for x in range(n)], joins
+
+
 def admits_antiparallel_strong(graph: Graph) -> bool:
     """An antiparallel strong trace exists iff some spanning tree leaves a
     co-tree whose components all have an even number of edges.
@@ -724,63 +739,24 @@ def admits_antiparallel_strong(graph: Graph) -> bool:
     Exhaustive over spanning trees, so refuses graphs with more than
     `ANTIPARALLEL_MAX_EDGES` edges.
     """
-    from itertools import combinations
-
     if graph.m > ANTIPARALLEL_MAX_EDGES:
         raise SizeGuardError(
             f"antiparallel feasibility check refuses graphs with more than "
             f"{ANTIPARALLEL_MAX_EDGES} edges (got {graph.m})"
         )
     n = graph.n
-    cotree_size = graph.m - (n - 1)
-    if cotree_size % 2 == 1:
+    if (graph.m - (n - 1)) % 2 == 1:
         # Components partition an odd number of edges, so one is always odd.
         return False
-    edge_list = graph.edges
-    for tree_edges in combinations(range(graph.m), n - 1):
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        acyclic = True
-        for e in tree_edges:
-            u, v = edge_list[e]
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                acyclic = False
-                break
-            parent[ru] = rv
-        if not acyclic:
+    edges = graph.edges
+    for tree in combinations(range(graph.m), n - 1):
+        # n - 1 edges span the graph iff each one joins two components.
+        if _union_find(n, (edges[e] for e in tree))[1] < n - 1:
             continue
-        # n-1 acyclic edges form a spanning tree; inspect the co-tree.
-        chosen = set(tree_edges)
-        comp_parent: dict[int, int] = {}
-
-        def cfind(x: int) -> int:
-            while comp_parent[x] != x:
-                comp_parent[x] = comp_parent[comp_parent[x]]
-                x = comp_parent[x]
-            return x
-
-        sizes: dict[int, int] = {}
-        for e in range(graph.m):
-            if e in chosen:
-                continue
-            u, v = edge_list[e]
-            comp_parent.setdefault(u, u)
-            comp_parent.setdefault(v, v)
-            ru, rv = cfind(u), cfind(v)
-            if ru != rv:
-                comp_parent[ru] = rv
-        for e in range(graph.m):
-            if e in chosen:
-                continue
-            r = cfind(edge_list[e][0])
-            sizes[r] = sizes.get(r, 0) + 1
+        chosen = set(tree)
+        cotree = [edges[e] for e in range(graph.m) if e not in chosen]
+        roots = _union_find(n, cotree)[0]
+        sizes = Counter(roots[u] for u, _ in cotree)
         if all(size % 2 == 0 for size in sizes.values()):
             return True
     return False

@@ -31,7 +31,7 @@ class DisconnectedGraphError(ValueError):
 class Graph:
     """Immutable simple connected undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "m", "edges", "adj", "eid_row", "nbr_index")
+    __slots__ = ("n", "m", "edges", "adj", "eid_row")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
@@ -54,20 +54,14 @@ class Graph:
         self.n = n
         self.m = len(normalized)
         self.edges: tuple[tuple[int, int], ...] = tuple(normalized)
-        nbrs: list[list[int]] = [[] for _ in range(n)]
-        # Flat lookup tables for the enumeration inner loop: edge id by
-        # endpoint pair (-1 when absent) and each neighbour's position in
-        # the sorted adjacency list.
-        eid_row = [[-1] * n for _ in range(n)]
+        # The enumeration inner loop's lookup: each vertex's edge ids by
+        # neighbour, O(m) in all.  The edges come sorted, so every row is
+        # filled in increasing neighbour order, the order of `adj`.
+        eid_row: list[dict[int, int]] = [{} for _ in range(n)]
         for i, (u, v) in enumerate(self.edges):
-            nbrs[u].append(v)
-            nbrs[v].append(u)
             eid_row[u][v] = eid_row[v][u] = i
-        self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in nbrs)
-        self.eid_row: tuple[tuple[int, ...], ...] = tuple(tuple(row) for row in eid_row)
-        self.nbr_index: tuple[dict[int, int], ...] = tuple(
-            {v: i for i, v in enumerate(a)} for a in self.adj
-        )
+        self.eid_row: tuple[dict[int, int], ...] = tuple(eid_row)
+        self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(row) for row in eid_row)
         comps = self._components()
         if len(comps) > 1:
             raise DisconnectedGraphError(comps)
@@ -100,8 +94,8 @@ class Graph:
         return min(len(a) for a in self.adj)
 
     def _eid(self, u: int, v: int) -> int:
-        # -1 also for labels outside 0..n-1, which would wrap round as indices.
-        return self.eid_row[u][v] if 0 <= u < self.n and 0 <= v < self.n else -1
+        # -1 also for a u outside 0..n-1, which would wrap round as an index.
+        return self.eid_row[u].get(v, -1) if 0 <= u < self.n else -1
 
     def has_edge(self, u: int, v: int) -> bool:
         return self._eid(u, v) >= 0

@@ -102,6 +102,14 @@ class TestEnumerate:
         assert "relabeling" in payload
         assert all(t[:2] == [0, 1] for t in payload["traces"])
 
+    def test_edges_file_with_byte_order_mark(self, capsys, tmp_path):
+        # Windows PowerShell 5.1 writes UTF-8 files with a byte-order mark.
+        path = tmp_path / "triangle-bom.txt"
+        path.write_bytes(b"\xef\xbb\xbf0 1\n1 2\n2 0\n")
+        code, out, _ = run(capsys, "enumerate", "--edges", str(path))
+        assert code == EXIT_OK
+        assert "# count: 2" in out
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "traces.txt"
         code, out, _ = run(

@@ -90,14 +90,12 @@ class TestPartialTrace:
         # 1 -> 2 -> 0 the pair {1, 0} at vertex 2: each a path of two
         # neighbours, whose ends are mates.  The walk has not closed at
         # vertex 0, so there each neighbour is still unpaired.
-        idx = triangle.nbr_index[1]
-        assert pt.mate[1][idx[0]] == idx[2]
-        assert pt.mate[1][idx[2]] == idx[0]
-        assert pt.span[1] == [2, 2]
-        assert pt.mate[2] == [1, 0]
-        assert pt.span[2] == [2, 2]
-        assert pt.mate[0] == [0, 1]
-        assert pt.span[0] == [1, 1]
+        assert pt.mate[1] == {0: 2, 2: 0}
+        assert pt.span[1] == {0: 2, 2: 2}
+        assert pt.mate[2] == {0: 1, 1: 0}
+        assert pt.span[2] == {0: 2, 1: 2}
+        assert pt.mate[0] == {1: 1, 2: 2}
+        assert pt.span[0] == {1: 1, 2: 1}
 
     @staticmethod
     def snapshot(pt):
@@ -106,8 +104,8 @@ class TestPartialTrace:
             list(pt.edge_count),
             list(pt.edge_from),
             pt.zero_visits,
-            [list(x) for x in pt.mate],
-            [list(x) for x in pt.span],
+            [dict(x) for x in pt.mate],
+            [dict(x) for x in pt.span],
             pt.closing,
             list(pt.forward),
             list(pt.backward),
@@ -133,10 +131,10 @@ class TestPartialTrace:
         # and 3 become mates over all three neighbours.
         pt = build_partial(k4, (0, 1, 2, 0, 3, 1))
         before = self.snapshot(pt)
-        assert pt.mate[1] == [1, 0, 2] and pt.span[1] == [2, 2, 1]
+        assert pt.mate[1] == {0: 2, 2: 0, 3: 3} and pt.span[1] == {0: 2, 2: 2, 3: 1}
         pt.push(0)
-        assert pt.mate[1][2] == 1 and pt.mate[1][1] == 2
-        assert pt.span[1][1] == pt.span[1][2] == 3
+        assert pt.mate[1][3] == 2 and pt.mate[1][2] == 3
+        assert pt.span[1][2] == pt.span[1][3] == 3
         pt.pop()
         assert self.snapshot(pt) == before
 
@@ -152,8 +150,7 @@ class TestPartialTrace:
         pt = build_partial(request.getfixturevalue(fixture), prefix)
         before = self.snapshot(pt)
         u = pt.seq[-1]
-        idx = pt.graph.nbr_index[u]
-        assert pt.mate[u][idx[pt.seq[-2]]] == idx[v]
+        assert pt.mate[u][pt.seq[-2]] == v
         pt.push(v)
         assert self.snapshot(pt)[4:6] == before[4:6]
         pt.pop()
@@ -498,8 +495,8 @@ def search_state(pt):
         list(pt.edge_count),
         list(pt.edge_from),
         pt.zero_visits,
-        [list(row) for row in pt.mate],
-        [list(row) for row in pt.span],
+        [dict(row) for row in pt.mate],
+        [dict(row) for row in pt.span],
         pt.closing,
         list(pt.forward),
         list(pt.backward),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 import networkx as nx
@@ -60,7 +62,23 @@ class TestGraph:
                 if g.has_edge(u, v):
                     assert g.eid_row[u][v] == g.edge_id(u, v)
                 else:
-                    assert g.eid_row[u][v] == -1
+                    assert v not in g.eid_row[u]
+
+    def test_long_path_builds_no_square_table(self):
+        # Each row holds one vertex's edges, in `adj` order, which is
+        # increasing, so that the search's candidates come out increasing.
+        # The path visits the vertices in the order 0, 7, 14, ... (mod 600).
+        n = 600
+        edges = [(7 * i % n, 7 * (i + 1) % n) for i in range(n - 1)]
+        tracemalloc.start()
+        try:
+            g = Graph(n, edges)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+        for u in range(n):
+            assert list(g.eid_row[u]) == list(g.adj[u]) == sorted(g.adj[u])
 
     def test_rejects_loop(self):
         with pytest.raises(ValueError, match="loop"):
