@@ -5,6 +5,9 @@ verify (branch-and-bound against the brute-force oracle), orbits
 (subgroup orbit structure of the brute-force trace set) and tables
 (reference counts for the built-in graph families).
 
+Every kind and orientation named on the command line is checked by
+`EnumerationConfig`, whose refusal is a configuration error.
+
 Exit codes: 0 success, 1 internal failure, 2 usage or configuration
 error, 3 size guard refusal.
 """
@@ -101,41 +104,49 @@ def _output_file(path: str | None):
     """Open `path` for writing, or yield None without one.
 
     Opened before the search, so that an unwritable path fails before
-    any work is done; failing to open it is a usage error.
+    any work is done; failing to open it is a usage error.  It is opened
+    for appending, and only `_write_file` replaces its contents, so a
+    command that fails before writing leaves an existing file as it was
+    and removes the empty one it created.
     """
     if path is None:
         yield None
         return
+    created = not os.path.exists(path)
     try:
-        handle = open(path, "w", encoding="utf-8")
+        handle = open(path, "a", encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc}") from None
-    with handle:
-        yield handle
+    try:
+        with handle:
+            yield handle
+    except BaseException:
+        with contextlib.suppress(OSError):
+            if created and os.path.getsize(path) == 0:
+                os.remove(path)
+        raise
 
 
 def _write_file(handle, text: str) -> None:
-    """Write `text` and a newline to an open output file; failing to is a
-    usage error."""
+    """Replace the contents of an open output file with `text` and a
+    newline; failing to is a usage error."""
     try:
+        # A pipe or a terminal has no contents to replace.
+        if handle.seekable():
+            handle.truncate(0)
         handle.write(text + "\n")
         handle.flush()
     except OSError as exc:
         raise UsageError(f"cannot write {handle.name}: {exc}") from None
 
 
-def _config_from(args: argparse.Namespace) -> EnumerationConfig:
-    kind = args.kind
-    d = getattr(args, "d", None)
-    if kind == "double":
-        kind = "any"
-    if kind == "stable":
-        if d is None:
-            raise UsageError("--kind stable needs --d")
-    elif d is not None:
-        raise UsageError("--d is only valid with --kind stable")
+def _config(kind: str, d: int | None, orientation: str) -> EnumerationConfig:
+    """The configuration for a kind as the CLI names it, where "double"
+    is "any"; one that `EnumerationConfig` refuses is a usage error."""
     try:
-        return EnumerationConfig(kind=kind, d=d, orientation=args.orientation)
+        return EnumerationConfig(
+            kind="any" if kind == "double" else kind, d=d, orientation=orientation
+        )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -205,7 +216,7 @@ def _feasibility_note(graph: Graph, config: EnumerationConfig, count: int) -> st
 def cmd_enumerate(args: argparse.Namespace) -> int:
     _check_jobs(args)
     loaded = _load_graph(args)
-    config = _config_from(args)
+    config = _config(args.kind, args.d, args.orientation)
     with _output_file(args.out) as out:
         graph = loaded.graph
         started = time.perf_counter()
@@ -252,49 +263,26 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         return EXIT_OK
 
 
-def _parse_kinds(spec: str) -> list[tuple[str, int | None]]:
-    out: list[tuple[str, int | None]] = []
-    for token in spec.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        name, _, num = token.partition(":")
-        if name == "double":
-            name = "any"
-        if name == "stable":
-            if not num:
-                raise UsageError("stable kind in --kinds needs an order, e.g. stable:2")
-            if not num.isdecimal() or int(num) < 1:
-                raise UsageError(f"order in {token!r} must be a positive integer")
-            out.append((name, int(num)))
-        elif name in ("any", "strong"):
-            if num:
-                raise UsageError(f"kind {name!r} takes no order")
-            out.append((name, None))
-        else:
-            raise UsageError(f"unknown kind {token!r}")
-    if not out:
-        raise UsageError("no kinds requested")
-    return out
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     loaded = _load_graph(args)
-    kinds = _parse_kinds(args.kinds)
+    kinds = [t.strip().partition(":") for t in args.kinds.split(",") if t.strip()]
     orientations = [o.strip() for o in args.orientations.split(",") if o.strip()]
-    for orientation in orientations:
-        if orientation not in ("any", "parallel", "antiparallel"):
-            raise UsageError(f"unknown orientation {orientation!r}")
+    if not kinds:
+        raise UsageError("no kinds requested")
     if not orientations:
         raise UsageError("no orientations requested")
+    configs = []
+    for kind, _, order in kinds:
+        if order and not order.isdecimal():
+            raise UsageError(f"order {order!r} of kind {kind!r} must be a positive integer")
+        d = int(order) if order else None
+        configs += [_config(kind, d, orientation) for orientation in orientations]
     print(f"# graph: {loaded.label} (n={loaded.graph.n}, m={loaded.graph.m})")
     all_equal = True
-    for kind, d in kinds:
-        for orientation in orientations:
-            config = EnumerationConfig(kind=kind, d=d, orientation=orientation)
-            report = verify_against_oracle(loaded.graph, config)
-            print(report.summary())
-            all_equal = all_equal and report.equal
+    for config in configs:
+        report = verify_against_oracle(loaded.graph, config)
+        print(report.summary())
+        all_equal = all_equal and report.equal
     if all_equal:
         print("# all configurations agree with the oracle")
         return EXIT_OK
@@ -304,7 +292,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_orbits(args: argparse.Namespace) -> int:
     loaded = _load_graph(args)
-    config = _config_from(args)
+    config = _config(args.kind, args.d, args.orientation)
     graph = loaded.graph
     with _output_file(args.dot) as dot:
         traces = brute_enumerate(graph, config, scope="all_starts")

@@ -101,10 +101,10 @@ class PartialTrace:
     the root.
 
     The walk's bookkeeping: per-edge use counts and first traversal
-    directions, the number of visits to vertex 0 (`zero_visits`), and the
-    transition structure already completed at each vertex (a visit's
-    pair is complete once both its neighbours in the walk are known; the
-    pairs at w_0 and at the final vertex close only when the walk does).
+    directions (-1 while unused), and the transition structure already
+    completed at each vertex (a visit's pair is complete once both its
+    neighbours in the walk are known; the pairs at w_0 and at the final
+    vertex close only when the walk does).
     A neighbour has two pair slots at u, one per traversal of their
     edge, so the pairs at u form paths and cycles over u's neighbours.
     `mate[u][a]` is the far end of the path ending at the neighbour a (a
@@ -114,18 +114,20 @@ class PartialTrace:
 
     `closing` is the walk's last vertex w_{2m-1} once it is forced, else
     -1.  Vertex 0 has 2 deg(0) traversals: w_0 uses one, each later visit
-    two, and the closing step one.  So when the walk leaves 0 on its
-    deg(0)-th visit, the one traversal left at 0 is the closing step, and
-    it runs from the one neighbour c whose edge to 0 still has capacity:
-    every completion ends c, 0.  A prefix that ends at 0 still has to
-    leave it, so popping the step that left 0 unforces c.
+    two, and the closing step one.  So after every departure from 0 an
+    odd number of traversals at 0 is spare, and when a single edge at 0
+    still has spare capacity, just one traversal is left: the closing
+    step, which runs from that edge's end c, so every completion ends
+    c, 0.  A prefix that ends at 0 still has to leave it, so popping the
+    step that left 0 unforces c.
 
     The symmetries, which `prune` advances on every push: an alignment
     is an automorphism with a start s and a direction, whose image of the
     closed walk is read from w_s forwards or backwards and relabelled.
     The image can precede a walk starting 0 1 only if its first arc maps
     onto (0, 1), so `_arc_index[a][b]` holds the automorphisms mapping
-    the arc (a, b) onto (0, 1), and only those are ever compared.  Three
+    the arc (a, b) onto (0, 1), and only those are ever compared; like
+    `mate`, it is keyed by neighbour, so it has one cell per arc.  Three
     sets stay tied with the prefix:
 
     * `forward`, the (perm, s) pairs for forward alignments whose image
@@ -156,7 +158,6 @@ class PartialTrace:
         "seq",
         "edge_count",
         "edge_from",
-        "zero_visits",
         "mate",
         "span",
         "closing",
@@ -181,23 +182,16 @@ class PartialTrace:
         self.edge_count[e] = 1
         self.edge_from = [-1] * graph.m
         self.edge_from[e] = 0
-        self.zero_visits = 1
         self.mate: list[dict[int, int]] = [{a: a for a in row} for row in graph.adj]
         self.span: list[dict[int, int]] = [dict.fromkeys(row, 1) for row in graph.adj]
         # A leaf 0 is left for the last time at the root.
         self.closing = 1 if graph.degree(0) == 1 else -1
-        n = aut.n
-        # Only the rows of arcs some automorphism maps onto (0, 1) are
-        # built; all others share one row of empty cells.
-        rows: dict[int, dict[int, list[tuple[int, ...]]]] = {}
+        self._arc_index: list[dict[int, tuple[tuple[int, ...], ...]]] = [
+            dict.fromkeys(row, ()) for row in graph.adj
+        ]
         for p in aut.elements:
-            rows.setdefault(p.index(0), {}).setdefault(p.index(1), []).append(p)
-        empty = ((),) * n
-        self._arc_index = tuple(
-            tuple(tuple(rows[a].get(b, ())) for b in range(n)) if a in rows else empty
-            for a in range(n)
-        )
-        identity = tuple(range(n))
+            self._arc_index[p.index(0)][p.index(1)] += (p,)
+        identity = tuple(range(aut.n))
         self.forward = [(p, 0) for p in self._arc_index[0][1] if p != identity]
         self.backward = [(p, 1) for p in self._arc_index[1][0]]
         self.anchored: list[tuple[tuple[int, ...], int]] = []
@@ -209,12 +203,10 @@ class PartialTrace:
         seq = self.seq
         u = seq[-1]
         e = self.graph.eid_row[u][v]
-        first = self.edge_count[e] == 0
-        if first:
+        edge_count = self.edge_count
+        if edge_count[e] == 0:
             self.edge_from[e] = u
-        self.edge_count[e] += 1
-        if v == 0:
-            self.zero_visits += 1
+        edge_count[e] += 1
         mate = self.mate[u]
         ea = mate[seq[-2]]
         if ea == v:
@@ -229,28 +221,32 @@ class PartialTrace:
             mate[eb] = ea
             span[ea] = span[eb] = span_a + span_b
         self._journal.append(
-            (e, first, ea, eb, span_a, span_b,
+            (e, ea, eb, span_a, span_b,
              self.forward, self.backward, self.anchored, self.smaller_witness)
         )
         seq.append(v)
-        if u == 0 and self.zero_visits == len(self.graph.adj[0]):
+        if u == 0:
+            # The end is forced when a single edge at 0 has spare capacity;
+            # the scan stops at the second one.
+            closing = -1
             for c, e0 in self.graph.eid_row[0].items():
-                if self.edge_count[e0] < 2:
-                    self.closing = c
-                    break
+                if edge_count[e0] < 2:
+                    if closing >= 0:
+                        break
+                    closing = c
+            else:
+                self.closing = closing
         prune(self)
 
     def pop(self) -> None:
         """Undo the most recent push, the symmetries that its `prune`
         replaced included (not valid below the base prefix)."""
         v = self.seq.pop()
-        (e, first, ea, eb, span_a, span_b, self.forward,
+        (e, ea, eb, span_a, span_b, self.forward,
          self.backward, self.anchored, self.smaller_witness) = self._journal.pop()
         self.edge_count[e] -= 1
-        if first:
+        if self.edge_count[e] == 0:
             self.edge_from[e] = -1
-        if v == 0:
-            self.zero_visits -= 1
         u = self.seq[-1]
         if u == 0:
             self.closing = -1

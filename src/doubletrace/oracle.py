@@ -177,10 +177,6 @@ def _relabelled(perm: Sequence[int], seq: Sequence[int]) -> tuple[int, ...]:
     return tuple(perm[v] for v in seq)
 
 
-def _rotations(seq: tuple[int, ...]) -> list[tuple[int, ...]]:
-    return [seq[i:] + seq[:i] for i in range(len(seq))]
-
-
 def _apply_element(element: SymmetryElement, seq: Sequence[int]) -> tuple[int, ...]:
     """Oracle-local action; relabel first, then rotate, then reverse.
 

@@ -183,6 +183,8 @@ class TestUsageErrors:
             ("tables", "--jobs", "0"),
             ("tables", "--jobs", "-2"),
             ("verify", "--graph6", "Bw", "--orientations", ","),
+            ("verify", "--graph6", "Bw", "--kinds", "strong:3"),
+            ("verify", "--graph6", "Bw", "--kinds", "any:2"),
         ],
     )
     def test_exit_code_two(self, capsys, argv):
@@ -241,6 +243,19 @@ class TestGuardExits:
         code, _, err = run(capsys, "orbits", "--named", "prism:5")
         assert code == EXIT_GUARD
         assert "refuses" in err
+
+    def test_refused_run_keeps_an_existing_output_file(self, capsys, tmp_path):
+        target = tmp_path / "out.dot"
+        target.write_bytes(b"digraph kept {}\n")
+        code, _, _ = run(capsys, "orbits", "--named", "prism:5", "--dot", str(target))
+        assert code == EXIT_GUARD
+        assert target.read_bytes() == b"digraph kept {}\n"
+
+    def test_refused_run_leaves_no_new_output_file(self, capsys, tmp_path):
+        target = tmp_path / "out.dot"
+        code, _, _ = run(capsys, "orbits", "--named", "prism:5", "--dot", str(target))
+        assert code == EXIT_GUARD
+        assert not target.exists()
 
     def test_exit_code_follows_the_error_type(self, capsys, monkeypatch):
         def raise_(exc):

@@ -76,10 +76,27 @@ class TestPartialTrace:
         assert pt._arc_index[n - 1][n - 2] == (aut.elements[1],)
         assert pt._arc_index[1][0] == ()
 
+    def test_arc_index_is_keyed_by_neighbour(self):
+        # A 600-vertex cycle has 1 200 automorphisms, one per arc mapped
+        # onto (0, 1); n-long rows for them would take 3.5 MB.
+        n = 600
+        graph = Graph(n, [(i, (i + 1) % n) for i in range(n)])
+        aut = automorphisms(graph)
+        tracemalloc.start()
+        try:
+            pt = PartialTrace(graph, aut)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_500_000
+        assert sum(len(cell) for row in pt._arc_index for cell in row.values()) == aut.order
+        assert all(list(pt._arc_index[u]) == list(graph.adj[u]) for u in range(n))
+
     def test_push_updates_bookkeeping(self, triangle):
         pt = build_partial(triangle, (0, 1, 2, 0))
         assert pt.seq == [0, 1, 2, 0]
-        assert pt.zero_visits == 2
+        # 0 is visited twice but not left since, so the end is open.
+        assert pt.closing == -1
         assert pt.edge_count[triangle.edge_id(0, 1)] == 1
         assert pt.edge_count[triangle.edge_id(1, 2)] == 1
         assert pt.edge_count[triangle.edge_id(0, 2)] == 1
@@ -103,7 +120,6 @@ class TestPartialTrace:
             list(pt.seq),
             list(pt.edge_count),
             list(pt.edge_from),
-            pt.zero_visits,
             [dict(x) for x in pt.mate],
             [dict(x) for x in pt.span],
             pt.closing,
@@ -152,7 +168,7 @@ class TestPartialTrace:
         u = pt.seq[-1]
         assert pt.mate[u][pt.seq[-2]] == v
         pt.push(v)
-        assert self.snapshot(pt)[4:6] == before[4:6]
+        assert self.snapshot(pt)[3:5] == before[3:5]
         pt.pop()
         assert self.snapshot(pt) == before
 
@@ -203,6 +219,36 @@ class TestPartialTrace:
 
     def test_len(self, triangle):
         assert len(build_partial(triangle, (0, 1, 2))) == 3
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        named_graph("tetrahedron"),
+        named_graph("prism", 3),
+        named_graph("pyramid", 4),
+        # Vertex 0 is a leaf hanging off a triangle.
+        Graph(4, [(0, 1), (1, 2), (1, 3), (2, 3)]),
+    ],
+    ids=["k4", "prism3", "pyramid4", "pendant-0"],
+)
+def test_walk_bookkeeping_matches_its_definition(graph):
+    # On every prefix the search enters, `closing` is the one neighbour of
+    # 0 with spare capacity once 0 has had its deg(0) visits and been left,
+    # and an edge has a first direction exactly when it has been used.
+    aut = automorphisms(graph)
+    pt = PartialTrace(graph, aut)
+    zero_edges = [(c, graph.edge_id(0, c)) for c in graph.adj[0]]
+    for depth in range(3, 2 * graph.m):
+        for prefix in extend_feasibly(PartialTrace(graph, aut), EnumerationConfig(), depth):
+            pt.move_to(prefix)
+            seq = pt.seq
+            if seq.count(0) == graph.degree(0) and seq[-1] != 0:
+                (expected,) = [c for c, e in zero_edges if pt.edge_count[e] < 2]
+            else:
+                expected = -1
+            assert pt.closing == expected, prefix
+            assert [f == -1 for f in pt.edge_from] == [c == 0 for c in pt.edge_count]
 
 
 class TestFeasibleNeighbors:
@@ -494,7 +540,6 @@ def search_state(pt):
         list(pt.seq),
         list(pt.edge_count),
         list(pt.edge_from),
-        pt.zero_visits,
         [dict(row) for row in pt.mate],
         [dict(row) for row in pt.span],
         pt.closing,
