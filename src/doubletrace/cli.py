@@ -415,7 +415,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="gamma",
         help="subgroup acting on the trace set",
     )
-    p_orbits.add_argument("--dot", metavar="FILE", help="write the orbit graph as DOT")
+    p_orbits.add_argument(
+        "--dot", metavar="FILE", help="write DOT: each trace joined to its orbit's smallest"
+    )
     p_orbits.add_argument("--format", choices=("text", "json"), default="text")
     p_orbits.set_defaults(func=cmd_orbits)
 
@@ -423,7 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_tables.add_argument(
         "--include-slow",
         action="store_true",
-        help="include rows that take hours (dodecahedron, prism:8 and up)",
+        help="include the long rows (dodecahedron, prism:8 and up); prism:8 takes under "
+        "a minute, the larger rows are not timed",
     )
     p_tables.add_argument(
         "--jobs", type=int, default=1, help="processes that search, this one included"

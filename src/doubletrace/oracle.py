@@ -13,15 +13,18 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .automorphism import AutGroup, SymmetryElement, automorphisms
+from .automorphism import AutGroup, SymmetryElement, automorphisms, symmetry_elements
 from .graph import Graph, SizeGuardError
 from .traces import EnumerationConfig
 
 ALL_STARTS_MAX_EDGES = 12
 SIMPLE_MAX_EDGES = 15
 GUARD_ENV = "TRACE_ENUM_GUARD_OVERRIDE"
+# Raw sequences the backtracking may hold: the cube's 8 066 304 all-starts
+# sequences fit, the octahedron's simple-only set (over 17.9 million) does not.
+RAW_TRACES_MAX = 10_000_000
 
 SCOPES = ("simple_only", "all_starts")
 
@@ -43,8 +46,13 @@ def _guard(graph: Graph, scope: str) -> None:
 
 @lru_cache(maxsize=16)
 def _raw_double_traces(graph: Graph, scope: str) -> tuple[tuple[int, ...], ...]:
-    """Every double-trace vertex sequence, by exhaustive backtracking."""
+    """Every double-trace vertex sequence, by exhaustive backtracking.
+
+    Refuses to hold more than RAW_TRACES_MAX sequences unless the guard
+    override is set.
+    """
     length = 2 * graph.m
+    cap = None if os.environ.get(GUARD_ENV) else RAW_TRACES_MAX
     adj = graph.adj
     eid = {}
     for u in range(graph.n):
@@ -58,6 +66,11 @@ def _raw_double_traces(graph: Graph, scope: str) -> tuple[tuple[int, ...], ...]:
         if len(seq) == length:
             e = eid.get((u, first))
             if e is not None and count[e] == 1:
+                if len(out) == cap:
+                    raise OracleSizeError(
+                        f"brute-force enumeration refuses to hold more than {cap} raw "
+                        f"traces; set {GUARD_ENV}=1 to override"
+                    )
                 out.append(tuple(seq))
             return
         for v in adj[u]:
@@ -195,12 +208,7 @@ def _apply_element(element: SymmetryElement, seq: Sequence[int]) -> tuple[int, .
 def subgroup_elements(subgroup: str, aut: AutGroup, length: int) -> list[SymmetryElement]:
     identity = tuple(range(aut.n))
     if subgroup == "gamma":
-        return [
-            SymmetryElement(p, shift, reverse)
-            for p in aut.elements
-            for reverse in (False, True)
-            for shift in range(length)
-        ]
+        return list(symmetry_elements(aut, length))
     if subgroup == "aut":
         return [SymmetryElement(p, 0, False) for p in aut.elements]
     if subgroup == "reversal":
@@ -247,30 +255,35 @@ class OrbitReport:
         }
 
 
+def _orbits(
+    trace_set: set[tuple[int, ...]],
+    images: Callable[[tuple[int, ...]], set[tuple[int, ...]]],
+) -> list[set[tuple[int, ...]]]:
+    """Split trace_set into orbits, images(seed) being seed's whole orbit.
+
+    Raises ValueError if an orbit leaves trace_set.
+    """
+    todo = set(trace_set)
+    orbits = []
+    while todo:
+        orbit = images(todo.pop())
+        stray = orbit - trace_set
+        if stray:
+            raise ValueError(f"trace set is not closed under its group: missing {min(stray)}")
+        todo -= orbit
+        orbits.append(orbit)
+    return orbits
+
+
 def orbit_partition(
     traces: Iterable[tuple[int, ...]], aut: AutGroup, subgroup: str = "gamma"
 ) -> OrbitReport:
     """Partition a trace set closed under the subgroup's action into orbits."""
     trace_set = {tuple(t) for t in traces}
-    if not trace_set:
-        return OrbitReport(subgroup, 0, [])
-    length = len(next(iter(trace_set)))
-    elements = subgroup_elements(subgroup, aut, length)
-    todo = set(trace_set)
-    orbits = []
-    while todo:
-        seed = todo.pop()
-        orbit = {_apply_element(el, seed) for el in elements}
-        stray = orbit - trace_set
-        if stray:
-            raise ValueError(
-                f"trace set is not closed under subgroup {subgroup!r}: "
-                f"missing {sorted(stray)[0]}"
-            )
-        todo -= orbit
-        orbits.append(Orbit(len(orbit), min(orbit)))
-    orbits.sort(key=lambda o: o.representative)
-    return OrbitReport(subgroup, len(trace_set), orbits)
+    elements = subgroup_elements(subgroup, aut, len(next(iter(trace_set), ())))
+    orbits = _orbits(trace_set, lambda seed: {_apply_element(el, seed) for el in elements})
+    summary = sorted((Orbit(len(o), min(o)) for o in orbits), key=lambda o: o.representative)
+    return OrbitReport(subgroup, len(trace_set), summary)
 
 
 def _simple_orbit_members(aut: AutGroup, seq: tuple[int, ...]) -> set[tuple[int, ...]]:
@@ -295,19 +308,9 @@ def canonical_orbit_representatives(
     simple-scope set suffices.
     """
     aut = automorphisms(graph)
-    simple = brute_enumerate(graph, config, scope="simple_only")
-    simple_set = set(simple)
-    todo = set(simple)
-    reps = []
-    while todo:
-        seed = todo.pop()
-        members = _simple_orbit_members(aut, seed)
-        if not members <= simple_set:
-            raise AssertionError("orbit member missing from brute-force set")
-        todo -= members
-        reps.append(min(members))
-    reps.sort()
-    return reps
+    simple = set(brute_enumerate(graph, config, scope="simple_only"))
+    orbits = _orbits(simple, lambda seed: _simple_orbit_members(aut, seed))
+    return sorted(min(o) for o in orbits)
 
 
 @dataclass
@@ -357,26 +360,25 @@ def verify_against_oracle(
 def emit_orbit_graph(
     traces: Iterable[tuple[int, ...]], aut: AutGroup, subgroup: str = "gamma"
 ) -> str:
-    """DOT text with one node per trace and edges inside each orbit."""
-    orbit_partition(traces, aut, subgroup)  # validates closure
-    trace_list = sorted({tuple(t) for t in traces})
-    index = {t: i for i, t in enumerate(trace_list)}
-    length = len(trace_list[0]) if trace_list else 0
-    elements = subgroup_elements(subgroup, aut, length) if trace_list else []
+    """DOT text with one node per trace, each joined to its orbit's minimum.
+
+    Each orbit is drawn as a star around its smallest trace, so the
+    connected components are the orbits and there is one edge for every
+    trace that is not an orbit's minimum.
+    """
+    trace_set = {tuple(t) for t in traces}
+    elements = subgroup_elements(subgroup, aut, len(next(iter(trace_set), ())))
+    orbits = _orbits(trace_set, lambda seed: {_apply_element(el, seed) for el in elements})
+    index = {t: i for i, t in enumerate(sorted(trace_set))}
+    root: dict[tuple[int, ...], int] = {}
+    for o in orbits:
+        root.update(dict.fromkeys(o, index[min(o)]))
     lines = [f'graph "{subgroup}-orbits" {{']
     for t, i in index.items():
         label = " ".join(str(v) for v in t)
         lines.append(f'  t{i} [label="{label}"];')
-    seen_edges = set()
-    for t in trace_list:
-        for el in elements:
-            u = _apply_element(el, t)
-            if u == t:
-                continue
-            a, b = index[t], index[u]
-            key = (a, b) if a < b else (b, a)
-            if key not in seen_edges:
-                seen_edges.add(key)
-                lines.append(f"  t{key[0]} -- t{key[1]};")
+    for t, i in index.items():
+        if root[t] != i:
+            lines.append(f"  t{root[t]} -- t{i};")
     lines.append("}")
     return "\n".join(lines)

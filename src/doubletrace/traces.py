@@ -43,7 +43,7 @@ class EnumerationConfig:
                 f"orientation must be one of {ORIENTATIONS}, got {self.orientation!r}"
             )
         if self.kind == "stable":
-            if not isinstance(self.d, int) or self.d < 1:
+            if isinstance(self.d, bool) or not isinstance(self.d, int) or self.d < 1:
                 raise ValueError("stable kind needs a positive integer d")
         elif self.d is not None:
             raise ValueError(f"d is only meaningful for kind 'stable', got kind {self.kind!r}")

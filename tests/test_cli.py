@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from doubletrace import SizeGuardError, cli
+from doubletrace import SizeGuardError, cli, oracle
 from doubletrace.cli import EXIT_GUARD, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -243,6 +243,17 @@ class TestGuardExits:
         code, _, err = run(capsys, "orbits", "--named", "prism:5")
         assert code == EXIT_GUARD
         assert "refuses" in err
+
+    def test_orbits_refuses_too_many_raw_traces(self, capsys, monkeypatch):
+        # A cached trace set would be returned without running the DFS.
+        oracle._raw_double_traces.cache_clear()
+        monkeypatch.setattr(oracle, "RAW_TRACES_MAX", 100)
+        try:
+            code, _, err = run(capsys, "orbits", "--named", "tetrahedron")
+        finally:
+            oracle._raw_double_traces.cache_clear()
+        assert code == EXIT_GUARD
+        assert "more than 100 raw traces" in err
 
     def test_refused_run_keeps_an_existing_output_file(self, capsys, tmp_path):
         target = tmp_path / "out.dot"

@@ -8,6 +8,7 @@ from doubletrace import (
     OracleSizeError,
     SizeGuardError,
     SymmetryElement,
+    apply_symmetry,
     automorphisms,
     brute_enumerate,
     canonical_orbit_representatives,
@@ -138,6 +139,24 @@ class TestGuards:
         with pytest.raises(OracleSizeError):
             brute_enumerate(named_graph("prism", 6))
 
+    @pytest.fixture
+    def small_raw_cap(self, monkeypatch):
+        # A cached trace set would be returned without running the DFS.
+        oracle._raw_double_traces.cache_clear()
+        monkeypatch.setattr(oracle, "RAW_TRACES_MAX", 100)
+        yield
+        oracle._raw_double_traces.cache_clear()
+
+    def test_raw_trace_cap(self, small_raw_cap, k4):
+        # K4 has 8 160 all-starts sequences, within the edge guard.
+        with pytest.raises(OracleSizeError, match="more than 100 raw traces") as exc:
+            brute_enumerate(k4, scope="all_starts")
+        assert "TRACE_ENUM_GUARD_OVERRIDE" in str(exc.value)
+
+    def test_env_override_lifts_raw_trace_cap(self, small_raw_cap, monkeypatch, k4):
+        monkeypatch.setenv("TRACE_ENUM_GUARD_OVERRIDE", "1")
+        assert len(brute_enumerate(k4, scope="all_starts")) == 8160
+
     def test_size_error_is_value_error(self):
         assert issubclass(OracleSizeError, SizeGuardError)
         assert issubclass(OracleSizeError, ValueError)
@@ -236,6 +255,12 @@ class TestCanonicalRepresentatives:
         filtered = [w for w in brute_enumerate(graph, cfg) if is_canonical(graph, w, aut)]
         assert reps == sorted(filtered)
 
+    def test_rejects_unclosed_set(self, monkeypatch, triangle):
+        # T_WEAK's orbit has other members that start 0 1.
+        monkeypatch.setattr(oracle, "brute_enumerate", lambda *args, **kwargs: [T_WEAK])
+        with pytest.raises(ValueError, match="not closed"):
+            canonical_orbit_representatives(triangle)
+
 
 class TestVerifyAgainstOracle:
     def test_k4_strong(self, k4):
@@ -317,6 +342,11 @@ class TestOrbitGraph:
         nodes, edges = parse_dot(dot)
         assert len(nodes) == 2 and len(edges) == 1
 
+    def test_reads_an_iterator_once(self, triangle):
+        traces = iter([T_STRONG, T_STRONG_REVERSED])
+        nodes, edges = parse_dot(emit_orbit_graph(traces, automorphisms(triangle), "reversal"))
+        assert len(nodes) == 2 and len(edges) == 1
+
     def test_components_match_orbits(self, k4):
         traces = brute_enumerate(k4, EnumerationConfig(kind="strong"), "all_starts")
         aut = automorphisms(k4)
@@ -324,6 +354,32 @@ class TestOrbitGraph:
         nodes, edges = parse_dot(dot)
         assert len(nodes) == 672
         assert component_sizes(nodes, edges) == [288, 288, 96]
+
+    @pytest.mark.parametrize("subgroup", ["gamma", "aut", "reversal", "shift"])
+    def test_each_trace_joined_to_its_orbit_minimum(self, k4, subgroup):
+        traces = brute_enumerate(k4, EnumerationConfig(kind="strong"), "all_starts")
+        aut = automorphisms(k4)
+        dot = emit_orbit_graph(traces, aut, subgroup)
+        trace_of = {
+            node: tuple(int(v) for v in label.split())
+            for node, label in re.findall(r'^\s*(t\d+) \[label="([\d ]+)"\];', dot, flags=re.M)
+        }
+        _, edges = parse_dot(dot)
+        minima = {o.representative for o in orbit_partition(traces, aut, subgroup).orbits}
+        # One edge from each trace that is not its orbit's minimum ...
+        assert sorted(trace_of[b] for _, b in edges) == sorted(set(traces) - minima)
+        # ... to that minimum.
+        elements = subgroup_elements(subgroup, aut, 12)
+        for a, b in edges:
+            assert trace_of[a] == min(apply_symmetry(el, trace_of[b]) for el in elements)
+
+    def test_k4_any_edge_count(self, k4):
+        traces = brute_enumerate(k4, scope="all_starts")
+        dot = emit_orbit_graph(traces, automorphisms(k4), "gamma")
+        nodes, edges = parse_dot(dot)
+        # 8 160 traces in 21 orbits.
+        assert len(nodes) == 8160
+        assert len(edges) == 8139
 
     def test_rejects_unclosed_set(self, triangle):
         with pytest.raises(ValueError, match="not closed"):

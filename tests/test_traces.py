@@ -39,6 +39,8 @@ class TestEnumerationConfig:
             EnumerationConfig(kind="stable")
         with pytest.raises(ValueError, match="positive integer d"):
             EnumerationConfig(kind="stable", d=0)
+        with pytest.raises(ValueError, match="positive integer d"):
+            EnumerationConfig(kind="stable", d=True)
 
     def test_d_only_for_stable(self):
         with pytest.raises(ValueError, match="only meaningful"):
