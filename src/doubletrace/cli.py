@@ -37,12 +37,7 @@ from .graph import (
     parse_edge_list,
     parse_graph6,
 )
-from .oracle import (
-    brute_enumerate,
-    emit_orbit_graph,
-    orbit_partition,
-    verify_against_oracle,
-)
+from .oracle import brute_enumerate, orbit_partition, verify_against_oracle
 from .traces import EnumerationConfig, format_trace
 
 EXIT_OK = 0
@@ -184,32 +179,25 @@ def _check_jobs(args: argparse.Namespace) -> None:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
 
 
-def _report_lines(loaded: LoadedGraph, extra: dict) -> list[str]:
-    graph = loaded.graph
-    lines = [
-        f"# graph: {loaded.label} (n={graph.n}, m={graph.m})",
-    ]
-    if loaded.relabeling is not None:
-        lines.append(
-            "# relabeling applied: " + " ".join(str(x) for x in loaded.relabeling)
-        )
-    for key, value in extra.items():
-        lines.append(f"# {key}: {value}")
-    return lines
-
-
 def _feasibility_note(graph: Graph, config: EnumerationConfig, count: int) -> str | None:
     """Explain a zero count when a structural characterization predicts it."""
-    if count or config.kind != "strong":
+    if count:
         return None
+    # A parallel trace of any kind crosses each edge twice the same way, so
+    # it enters each vertex as often as it leaves: every degree is even.
     if config.orientation == "parallel" and not admits_parallel_strong(graph):
-        return "no parallel strong trace exists: some vertex has odd degree"
-    if config.orientation == "antiparallel" and graph.m <= ANTIPARALLEL_MAX_EDGES:
-        if not admits_antiparallel_strong(graph):
-            return (
-                "no antiparallel strong trace exists: every spanning tree "
-                "leaves a co-tree with an odd component"
-            )
+        kind = " strong" if config.kind == "strong" else ""
+        return f"no parallel{kind} trace exists: some vertex has odd degree"
+    if (
+        config.kind == "strong"
+        and config.orientation == "antiparallel"
+        and graph.m <= ANTIPARALLEL_MAX_EDGES
+        and not admits_antiparallel_strong(graph)
+    ):
+        return (
+            "no antiparallel strong trace exists: every spanning tree "
+            "leaves a co-tree with an odd component"
+        )
     return None
 
 
@@ -222,44 +210,40 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         started = time.perf_counter()
         traces = enumerate_traces(graph, config, jobs=args.jobs)
         seconds = time.perf_counter() - started
-        note = _feasibility_note(graph, config, len(traces))
-        payload = {
-            "graph": loaded.label,
-            "n": graph.n,
-            "m": graph.m,
-            "config": config.describe(),
-            "count": len(traces),
-            "seconds": round(seconds, 3),
-        }
-        if note is not None:
-            payload["note"] = note
-        if loaded.relabeling is not None:
-            payload["relabeling"] = list(loaded.relabeling)
-        if not args.count_only:
-            payload["traces"] = [list(t) for t in traces]
+        count = len(traces)
+        note = _feasibility_note(graph, config, count)
         if args.format == "json":
-            text = json.dumps(payload, indent=2)
-            if out:
-                _write_file(out, text)
-                print(f"# wrote {args.out}")
-            else:
-                print(text)
-            return EXIT_OK
-        extra = {
-            "config": config.describe(),
-            "count": len(traces),
-            "seconds": f"{seconds:.3f}",
-        }
-        if note is not None:
-            extra["note"] = note
-        report = _report_lines(loaded, extra)
-        body = [] if args.count_only else [format_trace(t) for t in traces]
-        if out:
-            _write_file(out, "\n".join(report + body))
-            print("\n".join(report))
-            print(f"# wrote {args.out}")
+            payload = {
+                "graph": loaded.label,
+                "n": graph.n,
+                "m": graph.m,
+                "config": config.describe(),
+                "count": count,
+                "seconds": round(seconds, 3),
+                "note": note,
+                "relabeling": loaded.relabeling,
+                "traces": None if args.count_only else traces,
+            }
+            header = []
+            text = json.dumps({k: v for k, v in payload.items() if v is not None}, indent=2)
         else:
-            print("\n".join(report + body))
+            header = [f"# graph: {loaded.label} (n={graph.n}, m={graph.m})"]
+            if loaded.relabeling is not None:
+                header.append("# relabeling applied: " + " ".join(map(str, loaded.relabeling)))
+            header += [
+                f"# config: {config.describe()}",
+                f"# count: {count}",
+                f"# seconds: {seconds:.3f}",
+            ]
+            if note is not None:
+                header.append(f"# note: {note}")
+            body = [] if args.count_only else [format_trace(t) for t in traces]
+            text = "\n".join(header + body)
+        # With --out, stdout gets the header lines only.
+        if out:
+            _write_file(out, text)
+            text = "\n".join(header + [f"# wrote {args.out}"])
+        print(text)
         return EXIT_OK
 
 
@@ -299,7 +283,7 @@ def cmd_orbits(args: argparse.Namespace) -> int:
         aut = automorphisms(graph)
         report = orbit_partition(traces, aut, args.subgroup)
         if dot:
-            _write_file(dot, emit_orbit_graph(traces, aut, args.subgroup))
+            _write_file(dot, report.to_dot())
     if args.format == "json":
         print(json.dumps(report.to_json(), indent=2))
     else:
@@ -344,18 +328,10 @@ def cmd_tables(args: argparse.Namespace) -> int:
         graph = named_graph(name, int(size) if size else None)
         aut = automorphisms(graph)
         started = time.perf_counter()
-        strong = len(
-            enumerate_traces(
-                graph, EnumerationConfig(kind="strong"), jobs=args.jobs, aut=aut
-            )
-        )
-        oriented = len(
-            enumerate_traces(
-                graph,
-                EnumerationConfig(kind="strong", orientation=orientation),
-                jobs=args.jobs,
-                aut=aut,
-            )
+        strong, oriented = (
+            len(enumerate_traces(graph, EnumerationConfig(kind="strong", orientation=o),
+                                 jobs=args.jobs, aut=aut))
+            for o in ("any", orientation)
         )
         seconds = time.perf_counter() - started
         ok = strong == strong_expected and oriented == oriented_expected

@@ -223,8 +223,16 @@ def subgroup_elements(subgroup: str, aut: AutGroup, length: int) -> list[Symmetr
 
 @dataclass(frozen=True)
 class Orbit:
-    size: int
-    representative: tuple[int, ...]
+    members: frozenset[tuple[int, ...]]
+
+    @property
+    def size(self) -> int:
+        return len(self.members)
+
+    @property
+    def representative(self) -> tuple[int, ...]:
+        """The orbit's smallest trace."""
+        return min(self.members)
 
 
 @dataclass
@@ -254,6 +262,27 @@ class OrbitReport:
             ],
         }
 
+    def to_dot(self) -> str:
+        """DOT text with one node per trace, each joined to its orbit's minimum.
+
+        Each orbit is drawn as a star around its smallest trace, so the
+        connected components are the orbits and there is one edge for every
+        trace that is not an orbit's minimum.
+        """
+        root: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for o in self.orbits:
+            root.update(dict.fromkeys(o.members, o.representative))
+        index = {t: i for i, t in enumerate(sorted(root))}
+        lines = [f'graph "{self.subgroup}-orbits" {{']
+        for t, i in index.items():
+            label = " ".join(str(v) for v in t)
+            lines.append(f'  t{i} [label="{label}"];')
+        for t, i in index.items():
+            if root[t] != t:
+                lines.append(f"  t{index[root[t]]} -- t{i};")
+        lines.append("}")
+        return "\n".join(lines)
+
 
 def _orbits(
     trace_set: set[tuple[int, ...]],
@@ -282,7 +311,7 @@ def orbit_partition(
     trace_set = {tuple(t) for t in traces}
     elements = subgroup_elements(subgroup, aut, len(next(iter(trace_set), ())))
     orbits = _orbits(trace_set, lambda seed: {_apply_element(el, seed) for el in elements})
-    summary = sorted((Orbit(len(o), min(o)) for o in orbits), key=lambda o: o.representative)
+    summary = sorted((Orbit(frozenset(o)) for o in orbits), key=lambda o: o.representative)
     return OrbitReport(subgroup, len(trace_set), summary)
 
 
@@ -360,25 +389,5 @@ def verify_against_oracle(
 def emit_orbit_graph(
     traces: Iterable[tuple[int, ...]], aut: AutGroup, subgroup: str = "gamma"
 ) -> str:
-    """DOT text with one node per trace, each joined to its orbit's minimum.
-
-    Each orbit is drawn as a star around its smallest trace, so the
-    connected components are the orbits and there is one edge for every
-    trace that is not an orbit's minimum.
-    """
-    trace_set = {tuple(t) for t in traces}
-    elements = subgroup_elements(subgroup, aut, len(next(iter(trace_set), ())))
-    orbits = _orbits(trace_set, lambda seed: {_apply_element(el, seed) for el in elements})
-    index = {t: i for i, t in enumerate(sorted(trace_set))}
-    root: dict[tuple[int, ...], int] = {}
-    for o in orbits:
-        root.update(dict.fromkeys(o, index[min(o)]))
-    lines = [f'graph "{subgroup}-orbits" {{']
-    for t, i in index.items():
-        label = " ".join(str(v) for v in t)
-        lines.append(f'  t{i} [label="{label}"];')
-    for t, i in index.items():
-        if root[t] != i:
-            lines.append(f"  t{root[t]} -- t{i};")
-    lines.append("}")
-    return "\n".join(lines)
+    """DOT text of the subgroup's orbits on a trace set; see `OrbitReport.to_dot`."""
+    return orbit_partition(traces, aut, subgroup).to_dot()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -132,6 +133,20 @@ class TestEnumerate:
         assert "# count: 0" in out
         assert "some vertex has odd degree" in out
 
+    @pytest.mark.parametrize(
+        "kind", [["--kind", "double"], ["--kind", "stable", "--d", "1"]], ids=["double", "stable"]
+    )
+    def test_note_on_infeasible_parallel_any_kind(self, capsys, kind):
+        # Every parallel trace enters each vertex as often as it leaves it,
+        # whatever its kind, so an odd degree rules all of them out.
+        code, out, _ = run(
+            capsys,
+            "enumerate", "--named", "tetrahedron", *kind, "--orientation", "parallel",
+        )
+        assert code == EXIT_OK
+        assert "# count: 0" in out
+        assert "some vertex has odd degree" in out
+
     def test_note_on_infeasible_antiparallel_strong(self, capsys):
         code, out, _ = run(
             capsys,
@@ -142,6 +157,19 @@ class TestEnumerate:
         payload = json.loads(out)
         assert payload["count"] == 0
         assert "spanning tree" in payload["note"]
+
+    def test_json_out_file(self, capsys, tmp_path):
+        target = tmp_path / "traces.json"
+        code, out, _ = run(
+            capsys,
+            "enumerate", "--named", "tetrahedron", "--kind", "strong",
+            "--format", "json", "--out", str(target),
+        )
+        assert code == EXIT_OK
+        assert out == f"# wrote {target}\n"
+        payload = json.loads(target.read_text())
+        assert payload["count"] == 3
+        assert [" ".join(map(str, t)) for t in payload["traces"]] == K4_STRONG_LINES
 
     def test_stable_kind(self, capsys):
         code, out, _ = run(
@@ -363,6 +391,42 @@ class TestOrbits:
         text = target.read_text()
         assert text.startswith('graph "gamma-orbits" {')
         assert text.rstrip().endswith("}")
+
+    def test_dot_walks_the_orbits_once(self, capsys, monkeypatch, tmp_path):
+        calls = []
+        walk = oracle._orbits
+
+        def counted(*args):
+            calls.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(oracle, "_orbits", counted)
+        code, _, _ = run(
+            capsys, "orbits", "--graph6", "Bw", "--dot", str(tmp_path / "orbits.dot")
+        )
+        assert code == EXIT_OK
+        assert len(calls) == 1
+
+    # sha256 of the DOT files that `orbits --named tetrahedron --kind strong`
+    # writes: node lines in trace order, then one edge per non-minimal trace.
+    K4_STRONG_DOT_SHA256 = {
+        "gamma": "f177e331f98947ce4aae31f0ac77fd54cc9c09b961ac201d6f8aa04bb9d861c9",
+        "aut": "696e02afd1b1ce8dee27a873f802e32e69df816e6e8f9ea2056f85cdbeac4581",
+        "reversal": "911dff247420afc22eaa92172a56b93150090f5e3175ac6b3a2912ef4bb45e52",
+        "shift": "4cb51ac76139800a7e023f949474af1ffcfa06f398c2902210af50c7a743081c",
+    }
+
+    @pytest.mark.parametrize("subgroup", sorted(K4_STRONG_DOT_SHA256))
+    def test_k4_strong_dot_is_pinned(self, capsys, tmp_path, subgroup):
+        target = tmp_path / "orbits.dot"
+        code, _, _ = run(
+            capsys,
+            "orbits", "--named", "tetrahedron", "--kind", "strong",
+            "--subgroup", subgroup, "--dot", str(target),
+        )
+        assert code == EXIT_OK
+        digest = hashlib.sha256(target.read_bytes()).hexdigest()
+        assert digest == self.K4_STRONG_DOT_SHA256[subgroup]
 
 
 class TestTables:
