@@ -63,10 +63,10 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .automorphism import AutGroup, SymmetryElement, automorphisms
-from .graph import Graph, SizeGuardError
+from .graph import Graph, SizeGuardError, components
 from .traces import EnumerationConfig
 
 # Not called here: perfbench/tracing.py wraps these names on this module.
@@ -708,26 +708,6 @@ def admits_parallel_strong(graph: Graph) -> bool:
     return all(graph.degree(v) % 2 == 0 for v in range(graph.n))
 
 
-def _union_find(n: int, edges: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
-    """Join the edges on vertices 0..n-1: each vertex's root, and the
-    number of edges that joined two components."""
-    parent = list(range(n))
-
-    def root(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    joins = 0
-    for u, v in edges:
-        ru, rv = root(u), root(v)
-        if ru != rv:
-            parent[ru] = rv
-            joins += 1
-    return [root(x) for x in range(n)], joins
-
-
 def admits_antiparallel_strong(graph: Graph) -> bool:
     """An antiparallel strong trace exists iff some spanning tree leaves a
     co-tree whose components all have an even number of edges.
@@ -745,14 +725,16 @@ def admits_antiparallel_strong(graph: Graph) -> bool:
         # Components partition an odd number of edges, so one is always odd.
         return False
     edges = graph.edges
+    vertices = range(n)
     for tree in combinations(range(graph.m), n - 1):
-        # n - 1 edges span the graph iff each one joins two components.
-        if _union_find(n, (edges[e] for e in tree))[1] < n - 1:
+        # n - 1 edges span the graph iff they leave one component.
+        if len(components(vertices, (edges[e] for e in tree))) > 1:
             continue
         chosen = set(tree)
         cotree = [edges[e] for e in range(graph.m) if e not in chosen]
-        roots = _union_find(n, cotree)[0]
-        sizes = Counter(roots[u] for u, _ in cotree)
+        comps = components(vertices, cotree)
+        component_of = {v: i for i, comp in enumerate(comps) for v in comp}
+        sizes = Counter(component_of[u] for u, _ in cotree)
         if all(size % 2 == 0 for size in sizes.values()):
             return True
     return False

@@ -10,7 +10,6 @@ labelling and reports the permutation it applied.
 from __future__ import annotations
 
 import warnings
-from collections import deque
 from itertools import islice
 from typing import Iterable, Sequence
 
@@ -26,6 +25,32 @@ class DisconnectedGraphError(ValueError):
         self.components = [sorted(c) for c in components]
         listing = "; ".join(" ".join(str(v) for v in c) for c in self.components)
         super().__init__(f"graph is not connected (components: {listing})")
+
+
+def components(vertices: Iterable[int], pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Connected components of the graph on `vertices` joined by `pairs`.
+
+    Each component is sorted, and they come in increasing order of their
+    smallest vertex.
+    """
+    parent = {x: x for x in vertices}
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    comps: dict[int, list[int]] = {}
+    # In increasing order, so every list is sorted and the lists appear
+    # in the order of their smallest vertex.
+    for x in sorted(parent):
+        comps.setdefault(find(x), []).append(x)
+    return list(comps.values())
 
 
 class Graph:
@@ -62,27 +87,9 @@ class Graph:
             eid_row[u][v] = eid_row[v][u] = i
         self.eid_row: tuple[dict[int, int], ...] = tuple(eid_row)
         self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(row) for row in eid_row)
-        comps = self._components()
+        comps = components(range(n), self.edges)
         if len(comps) > 1:
             raise DisconnectedGraphError(comps)
-
-    def _components(self) -> list[list[int]]:
-        unseen = set(range(self.n))
-        comps = []
-        while unseen:
-            root = min(unseen)
-            comp = [root]
-            unseen.discard(root)
-            queue = deque([root])
-            while queue:
-                u = queue.popleft()
-                for v in self.adj[u]:
-                    if v in unseen:
-                        unseen.discard(v)
-                        comp.append(v)
-                        queue.append(v)
-            comps.append(comp)
-        return comps
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adj[v]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .automorphism import AutGroup, SymmetryElement, automorphisms, symmetry_elements
 from .graph import Graph, SizeGuardError
@@ -53,44 +53,53 @@ def _raw_double_traces(graph: Graph, scope: str) -> tuple[tuple[int, ...], ...]:
     """
     length = 2 * graph.m
     cap = None if os.environ.get(GUARD_ENV) else RAW_TRACES_MAX
-    adj = graph.adj
-    eid = {}
-    for u in range(graph.n):
-        for v in adj[u]:
-            eid[(u, v)] = graph.edge_id(u, v)
+    eid_row = graph.eid_row
     count = [0] * graph.m
     out: list[tuple[int, ...]] = []
 
-    def dfs(seq: list[int], first: int) -> None:
-        u = seq[-1]
-        if len(seq) == length:
-            e = eid.get((u, first))
-            if e is not None and count[e] == 1:
-                if len(out) == cap:
-                    raise OracleSizeError(
-                        f"brute-force enumeration refuses to hold more than {cap} raw "
-                        f"traces; set {GUARD_ENV}=1 to override"
-                    )
-                out.append(tuple(seq))
-            return
-        for v in adj[u]:
-            e = eid[(u, v)]
-            if count[e] < 2:
-                count[e] += 1
-                seq.append(v)
-                dfs(seq, first)
-                seq.pop()
-                count[e] -= 1
+    def steps(seq: list[int]) -> Iterator[tuple[int, int]]:
+        """The (neighbour, edge id) steps to try after seq.  At full
+        length there are none, and seq goes to `out` if it closes."""
+        if len(seq) < length:
+            return iter(eid_row[seq[-1]].items())
+        e = eid_row[seq[-1]].get(seq[0])
+        if e is not None and count[e] == 1:
+            if len(out) == cap:
+                raise OracleSizeError(
+                    f"brute-force enumeration refuses to hold more than {cap} raw "
+                    f"traces; set {GUARD_ENV}=1 to override"
+                )
+            out.append(tuple(seq))
+        return iter(())
+
+    def walk(seq: list[int]) -> None:
+        # Depth-first in neighbour order, so `out` grows in lexicographic
+        # order.  The stack is explicit, so a walk of any length fits; it
+        # holds the untried steps of each prefix, and seq is restored on
+        # return.
+        stack = [steps(seq)]
+        while stack:
+            for v, e in stack[-1]:
+                if count[e] < 2:
+                    count[e] += 1
+                    seq.append(v)
+                    stack.append(steps(seq))
+                    break
+            else:
+                stack.pop()
+                if stack:
+                    v = seq.pop()
+                    count[eid_row[seq[-1]][v]] -= 1
 
     if scope == "all_starts":
         for start in range(graph.n):
-            dfs([start], start)
+            walk([start])
     else:
         if graph.n < 2 or not graph.has_edge(0, 1):
             raise ValueError("simple_only scope needs vertices 0 and 1 adjacent")
-        e01 = eid[(0, 1)]
+        e01 = eid_row[0][1]
         count[e01] = 1
-        dfs([0, 1], 0)
+        walk([0, 1])
         count[e01] = 0
     return tuple(out)
 

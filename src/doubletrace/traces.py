@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .automorphism import AutGroup, automorphisms
-from .graph import Graph
+from .graph import Graph, components
 
 KINDS = ("any", "strong", "stable")
 ORIENTATIONS = ("any", "parallel", "antiparallel")
@@ -79,32 +79,13 @@ def _transition_pairs(graph: Graph, seq: Sequence[int]) -> list[list[tuple[int, 
     return pairs
 
 
-def _components_of(neigh: Sequence[int], pairs: Sequence[tuple[int, int]]) -> list[list[int]]:
-    parent = {x: x for x in neigh}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    comps: dict[int, list[int]] = {}
-    for x in neigh:
-        comps.setdefault(find(x), []).append(x)
-    return sorted(sorted(c) for c in comps.values())
-
-
 def transition_components(graph: Graph, seq: Sequence[int], v: int) -> list[list[int]]:
     """Connected components of the transition structure at v, sorted."""
     length = len(seq)
     pairs = [
         (seq[i - 1], seq[(i + 1) % length]) for i in range(length) if seq[i] == v
     ]
-    return _components_of(graph.neighbors(v), pairs)
+    return components(graph.neighbors(v), pairs)
 
 
 def repetitions(graph: Graph, seq: Sequence[int], v: int) -> list[list[int]]:
@@ -115,10 +96,8 @@ def repetitions(graph: Graph, seq: Sequence[int], v: int) -> list[list[int]]:
 
 def is_strong(graph: Graph, seq: Sequence[int]) -> bool:
     """True iff the transition structure is connected at every vertex."""
-    for v, pairs in enumerate(_transition_pairs(graph, seq)):
-        if len(_components_of(graph.neighbors(v), pairs)) > 1:
-            return False
-    return True
+    # A component at v has at most deg(v) < n vertices, so strong is n-stable.
+    return is_d_stable(graph, seq, graph.n)
 
 
 def is_d_stable(graph: Graph, seq: Sequence[int], d: int) -> bool:
@@ -126,7 +105,7 @@ def is_d_stable(graph: Graph, seq: Sequence[int], d: int) -> bool:
     if d < 1:
         raise ValueError(f"d must be positive, got {d}")
     for v, pairs in enumerate(_transition_pairs(graph, seq)):
-        comps = _components_of(graph.neighbors(v), pairs)
+        comps = components(graph.neighbors(v), pairs)
         if len(comps) > 1 and min(len(c) for c in comps) <= d:
             return False
     return True

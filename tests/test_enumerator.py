@@ -1104,6 +1104,14 @@ class TestFeasibilityPredicates:
     def test_antiparallel_strong_spanning_tree(self, name, k, expected):
         assert admits_antiparallel_strong(named_graph(name, k)) is expected
 
+    # random_graphs(5, 24)[5] has an even number of co-tree edges and no
+    # antiparallel strong trace: its False comes from the spanning trees.
+    @pytest.mark.parametrize("graph", random_graphs(3, 6) + random_graphs(5, 24))
+    def test_antiparallel_strong_matches_search(self, graph):
+        assert graph.m <= enumerator.ANTIPARALLEL_MAX_EDGES
+        cfg = EnumerationConfig(kind="strong", orientation="antiparallel")
+        assert admits_antiparallel_strong(graph) == bool(enumerate_traces(graph, cfg))
+
     def test_antiparallel_triangle(self, triangle):
         # The co-tree of any spanning tree is a single edge: always odd.
         assert not admits_antiparallel_strong(triangle)

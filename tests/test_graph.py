@@ -97,6 +97,12 @@ class TestGraph:
             Graph(4, [(0, 1), (2, 3)])
         assert info.value.components == [[0, 1], [2, 3]]
 
+    def test_rejects_disconnected_into_many_components(self):
+        with pytest.raises(DisconnectedGraphError) as info:
+            Graph(7, [(5, 6), (4, 0), (3, 1)])
+        assert info.value.components == [[0, 4], [1, 3], [2], [5, 6]]
+        assert str(info.value) == "graph is not connected (components: 0 4; 1 3; 2; 5 6)"
+
     def test_equality_and_hash(self):
         a = Graph(3, [(0, 1), (1, 2), (0, 2)])
         b = Graph(3, [(2, 0), (1, 0), (2, 1)])

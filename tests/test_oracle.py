@@ -104,6 +104,15 @@ class TestBruteEnumerate:
         stable_n = brute_enumerate(graph, EnumerationConfig(kind="stable", d=graph.n), scope=scope)
         assert stable_n == strong != []
 
+    def test_walk_longer_than_the_recursion_limit(self, monkeypatch):
+        # 1 198 steps on a 600-vertex path; its one double trace goes out
+        # and back.
+        monkeypatch.setenv("TRACE_ENUM_GUARD_OVERRIDE", "1")
+        path600 = Graph(600, [(v, v + 1) for v in range(599)])
+        traces = brute_enumerate(path600)
+        assert traces == enumerate_traces(path600)
+        assert len(traces) == 1
+
     def test_bad_scope(self, triangle):
         with pytest.raises(ValueError, match="scope"):
             brute_enumerate(triangle, scope="everything")
