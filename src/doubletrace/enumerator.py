@@ -25,6 +25,21 @@ per symmetry orbit.  Three mechanisms cooperate:
   stabiliser only the smallest candidate is kept, and symmetric
   subtrees are searched once.
 
+Most alignments are decided on the third element of their image, so
+both checks read it from an index instead of comparing each alignment.
+An alignment that starts on the arc (a, b) maps it onto (0, 1), and
+the third element of its image is perm[z] for the neighbour z of b
+that the walk takes next (forwards) or came from (backwards); it is
+compared with w_2.  Once w_2 is pushed, `PartialTrace` indexes the
+automorphisms of each arc by the 2-arc (a, b, z).  So the forward
+alignments that start on the last arc stay pending until the next
+step: `canonical_extension` drops a candidate for which one of them
+maps below w_2, and `prune` adds only those that tie.  A new backward
+alignment is compared past w_2 only if its third element ties with
+it.  This is the canonical-augmentation test of McKay's
+orderly generation (J. Algorithms, 1998), read on the 2-arcs that the
+symmetries map onto the start of the walk.
+
 The walk's end is known early.  When it leaves vertex 0 for the last
 time, the one traversal left at 0 is the closing step, so w_{2m-1} is
 the neighbour c of 0 whose edge still has capacity
@@ -39,10 +54,11 @@ step adds: the closing edge's direction (its capacity follows from the
 length); the two transition pairs it completes, at w_{2m-1} and at w_0,
 by the same kind lookahead as every other step; and canonicity, from
 the parts of the images that read across the closing arc: the wrapped
-tails of the alignments still tied and the two alignments that start on
-that arc.  Every other step was checked on the way down, so each
-accepted leaf is a canonical double trace of the requested kind and
-orientation.
+tails of the alignments still tied, the forward ones pending on the
+last arc included, and the two alignments that start on the closing
+arc, each compared up to its first difference.  Every other step was
+checked on the way down, so each accepted leaf is a canonical double
+trace of the requested kind and orientation.
 
 One loop, `_descend`, runs the search, in place on a single
 `PartialTrace`: the one search state, holding the prefix and the
@@ -57,12 +73,17 @@ is left, move their one search state to it (`PartialTrace.move_to`) and
 search below it to full length.  So the split is dealt on demand and
 differs from run to run, but each prefix's traces are put back in
 frontier order, and the output is identical to the serial search's.
+
+Two configurations have no trace on some graphs, and `enumerate_traces`
+returns [] for them without searching: parallel orientation on a graph
+with a vertex of odd degree, and strong antiparallel traces on a graph
+of odd cycle rank m - n + 1 (see `admits_antiparallel_strong`).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from typing import Sequence
 
 from .automorphism import AutGroup, SymmetryElement, automorphisms
@@ -127,15 +148,30 @@ class PartialTrace:
     The image can precede a walk starting 0 1 only if its first arc maps
     onto (0, 1), so `_arc_index[a][b]` holds the automorphisms mapping
     the arc (a, b) onto (0, 1), and only those are ever compared; like
-    `mate`, it is keyed by neighbour, so it has one cell per arc.  Three
-    sets stay tied with the prefix:
+    `mate`, it is keyed by neighbour, so it has one cell per arc.
+
+    `_two_arc` indexes the same automorphisms by the third element of
+    their image, against the prefix's w_2.  A forward alignment on the
+    arc (a, b) that steps on to the neighbour z of b, and a backward one
+    that came to b from z, both compare perm[z] with w_2 after the tie
+    on (0, 1).  So `_two_arc[a][b][z]` is a pair: the ones with perm[z]
+    == w_2, and the first with perm[z] < w_2 (None if there is none),
+    in `_arc_index` order; the tied ones are only those ahead of the
+    first smaller one, since no alignment after a witness is compared.
+    It is built when w_2 is pushed and kept in `_two_arcs` for each
+    value of w_2; arcs with no automorphism share one row per b, so
+    each takes O(m + |Aut| Delta) memory, Delta the maximum degree.
+    Three sets stay tied with the prefix:
 
     * `forward`, the (perm, s) pairs for forward alignments whose image
       matches the prefix so far, which `canonical_extension` also reads
       before a push.  Those at start 0 are the pointwise stabiliser of
       the prefix less the identity, and they head the list, so a witness
       among them is the one `prune` reports: it keeps the list's order
-      and appends new alignments at starts s >= 1;
+      and appends new alignments at starts s >= 1.  The alignments
+      that start on the last arc (w_{p-2}, w_{p-1}), s = p - 2, tie by
+      definition and are not in the list: they are pending, read from
+      `_arc_index` and, from the next step on, from `_two_arc`;
     * `backward`, the (perm, s) pairs for backward alignments whose image
       matched all of w_s, ..., w_0; the rest of that image reads the
       walk's end, w_{2m-1} first;
@@ -166,6 +202,8 @@ class PartialTrace:
         "anchored",
         "smaller_witness",
         "_arc_index",
+        "_two_arc",
+        "_two_arcs",
         "_journal",
     )
 
@@ -196,7 +234,38 @@ class PartialTrace:
         self.backward = [(p, 1) for p in self._arc_index[1][0]]
         self.anchored: list[tuple[tuple[int, ...], int]] = []
         self.smaller_witness: SymmetryElement | None = None
+        self._two_arc: list[dict[int, dict[int, tuple]]] = []
+        self._two_arcs: dict[int, list[dict[int, dict[int, tuple]]]] = {}
         self._journal: list[tuple] = []
+
+    def _index_two_arcs(self, w2: int) -> list[dict[int, dict[int, tuple]]]:
+        """`_two_arc` for the prefixes whose third vertex is w2."""
+        index = self._two_arcs.get(w2)
+        if index is not None:
+            return index
+        adj = self.graph.adj
+        empty = [dict.fromkeys(row, ((), None)) for row in adj]
+        index = []
+        for row in self._arc_index:
+            cells = {}
+            for b, perms in row.items():
+                if not perms:
+                    cells[b] = empty[b]
+                    continue
+                by_next = cells[b] = {}
+                for z in adj[b]:
+                    tied = []
+                    below = None
+                    for p in perms:
+                        if p[z] < w2:
+                            below = p
+                            break
+                        if p[z] == w2:
+                            tied.append(p)
+                    by_next[z] = (tuple(tied), below)
+            index.append(cells)
+        self._two_arcs[w2] = index
+        return index
 
     def push(self, v: int) -> None:
         """Append v (the caller guarantees feasibility) and `prune`."""
@@ -225,6 +294,8 @@ class PartialTrace:
              self.forward, self.backward, self.anchored, self.smaller_witness)
         )
         seq.append(v)
+        if len(seq) == 3:
+            self._two_arc = self._index_two_arcs(v)
         if u == 0:
             # The end is forced when a single edge at 0 has spare capacity;
             # the scan stops at the second one.
@@ -355,12 +426,18 @@ def canonical_extension(partial: PartialTrace, candidates: Sequence[int]) -> lis
     """The candidates v, in their given order, to which no tied forward
     alignment (perm, s) gives a smaller image: once v = w_p is pushed,
     `prune` compares perm[v] with w_{p-s} (v itself at start 0, where
-    the alignment fixes the prefix), and a smaller image is a witness."""
+    the alignment fixes the prefix), and a smaller image is a witness.
+    The alignments pending on the last arc compare perm[v] with w_2, so
+    the index's first witness for the 2-arc (w_{p-2}, w_{p-1}, v)
+    decides them."""
     seq = partial.seq
     p = len(seq)
     forward = partial.forward
+    pending = partial._two_arc[seq[-2]][seq[-1]] if p > 2 else None
     out = []
     for v in candidates:
+        if pending is not None and pending[v][1] is not None:
+            continue
         for perm, s in forward:
             if perm[v] < (seq[p - s] if s else v):
                 break
@@ -375,17 +452,20 @@ def prune(partial: PartialTrace) -> PartialTrace:
     `push` calls this once per step, and `pop` restores what it replaced.
     Pushing v = w_{p-1} after u = w_{p-2} decides, in this order: each
     tied forward alignment by one more comparison, perm[v] against
-    w_{p-1-s}, the prefix stabiliser at start 0 first (the search has
-    made these in `canonical_extension` before the push); once the closing
-    vertex c is forced, each backward alignment tied on w_s, ..., w_0
-    that has not read it yet by perm[c] against w_{s+1} (all of them at
-    the step that forces c, afterwards those tied one step earlier); and
-    the backward alignments that start at v on the arc (v, u), whose
-    image window w_{p-1}, ..., w_0 is now complete.  Then the forward
-    alignments that start on the arc (u, v), which tie on it, join.  A
-    larger image drops its alignment, a tie keeps it, and the first
-    smaller one is recorded as `smaller_witness`, after which nothing is
-    tracked: a push below a witness only passes it on.  Returns `partial`.
+    w_{p-1-s}, the prefix stabiliser at start 0 first, and then those
+    pending on the arc (w_{p-3}, u), against w_2, read from the 2-arc
+    index (the search has made these in `canonical_extension` before the
+    push); once the closing vertex c is forced, each backward alignment
+    tied on w_s, ..., w_0 that has not read it yet by perm[c] against
+    w_{s+1} (all of them at the step that forces c, afterwards those tied
+    one step earlier); and the backward alignments that start at v on the
+    arc (v, u), whose image window w_{p-1}, ..., w_0 is now complete,
+    on perm[w_{p-3}] against w_2 by the index, then on the rest.  The
+    forward alignments that start on the arc (u, v) tie on it and stay
+    pending.  A larger image drops its alignment, a tie keeps it, and the
+    first smaller one is recorded as `smaller_witness`, after which
+    nothing is tracked: a push below a witness only passes it on.
+    Returns `partial`.
     """
     if partial.smaller_witness is not None:
         return partial
@@ -393,8 +473,7 @@ def prune(partial: PartialTrace) -> PartialTrace:
     p = len(seq)
     v = seq[-1]
     u = seq[-2]
-    length = 2 * partial.graph.m
-    arc_index = partial._arc_index
+    two_arc = partial._two_arc
     witness = None
     forward = []
     for alignment in partial.forward:
@@ -406,6 +485,15 @@ def prune(partial: PartialTrace) -> PartialTrace:
         elif a < b:
             witness = SymmetryElement(perm, s, False)
             break
+    # The base arc's alignments are the stabiliser, at start 0, so the
+    # first pending ones start on the arc (w_1, w_2).
+    if witness is None and p > 3:
+        tied, below = two_arc[seq[-3]][u][v]
+        if below is not None:
+            witness = SymmetryElement(below, p - 3, False)
+        else:
+            for perm in tied:
+                forward.append((perm, p - 3))
     open_backward = partial.backward
     anchored = partial.anchored
     closing = partial.closing
@@ -420,6 +508,7 @@ def prune(partial: PartialTrace) -> PartialTrace:
             if a == b:
                 tied.append(alignment)
             elif a < b:
+                length = 2 * partial.graph.m
                 witness = SymmetryElement(perm, (length - s) % length, True)
                 break
         open_backward = []
@@ -427,23 +516,28 @@ def prune(partial: PartialTrace) -> PartialTrace:
             anchored = anchored + tied
     backward = []
     if witness is None:
-        for perm in arc_index[v][u]:
-            for j in range(2, p):
+        # The image from v reads 0, 1, perm[w_{p-3}], ...: the index
+        # decides perm[w_{p-3}] against w_2, and the tied ones go on.
+        tied, below = two_arc[v][u][seq[-3]]
+        for perm in tied:
+            for j in range(3, p):
                 a = perm[seq[p - 1 - j]]
                 b = seq[j]
                 if a != b:
-                    if a < b:
-                        witness = SymmetryElement(perm, (length - p + 1) % length, True)
                     break
             else:
                 backward.append((perm, p - 1))
-            if witness is not None:
+                continue
+            if a < b:
+                below = perm
                 break
+        if below is not None:
+            length = 2 * partial.graph.m
+            witness = SymmetryElement(below, (length - p + 1) % length, True)
     if witness is not None:
         partial.forward = partial.backward = partial.anchored = []
         partial.smaller_witness = witness
         return partial
-    forward += [(perm, p - 2) for perm in arc_index[u][v]]
     partial.forward = forward
     partial.backward = open_backward + backward if backward else open_backward
     partial.anchored = anchored
@@ -465,9 +559,11 @@ def _accept(partial: PartialTrace, config: EnumerationConfig, bound: int) -> boo
     is canonical if no image read from the closed walk precedes it.
     `prune` compared every alignment on the prefix, so only two kinds
     remain: the wrapped tails of the alignments still tied (an anchored
-    backward one has already matched the first element of its tail),
-    and the two alignments that start on the closing arc (w_{2m-1}, 0),
-    forwards at s = 2m - 1 and backwards at s = 0.
+    backward one has already matched the first element of its tail, and
+    the forward ones pending on the last arc, at s = 2m - 2, only its
+    first two), and the two alignments that start on the closing arc
+    (w_{2m-1}, 0), forwards at s = 2m - 1 and backwards at s = 0.  Each
+    tail is compared element by element up to its first difference.
     """
     seq = partial.seq
     last = seq[-1]
@@ -486,17 +582,31 @@ def _accept(partial: PartialTrace, config: EnumerationConfig, bound: int) -> boo
     arc_index = partial._arc_index
     # A forward image from s reads w_0 .. w_{s-1} at positions 2m - s ..
     # 2m - 1; from the closing arc (s = 2m - 1) its position 1 is a tie.
-    closing = [(perm, length - 1) for perm in arc_index[last][0]]
-    for perm, s in partial.forward + closing:
-        if [perm[x] for x in seq[:s]] < seq[length - s :]:
-            return False
+    # With one edge the last arc is the base arc, whose alignments are
+    # the stabiliser in `forward`.
+    pending = arc_index[seq[-2]][last] if length > 2 else ()
+    for perm, s in chain(
+        partial.forward,
+        zip(pending, repeat(length - 2)),
+        zip(arc_index[last][0], repeat(length - 1)),
+    ):
+        for x, b in zip(seq, seq[length - s :]):
+            a = perm[x]
+            if a != b:
+                if a < b:
+                    return False
+                break
     # A backward image from s reads w_{2m-1} .. w_{s+1} at positions s + 1
     # .. 2m - 1; from the closing arc (s = 0) its position 1 is a tie.
-    closing = [(perm, 0) for perm in arc_index[0][last]]
-    for perm, s in partial.backward + partial.anchored + closing:
-        tail = seq[s + 1 :]
-        if [perm[x] for x in tail[::-1]] < tail:
-            return False
+    for perm, s in chain(
+        partial.backward, partial.anchored, zip(arc_index[0][last], repeat(0))
+    ):
+        for x, b in zip(reversed(seq), seq[s + 1 :]):
+            a = perm[x]
+            if a != b:
+                if a < b:
+                    return False
+                break
     return True
 
 
@@ -513,17 +623,28 @@ def _descend(
     are explored by push/pop on the one search state, whose push
     advances the tied symmetries and whose pop restores them; a push
     that meets a witness, which only a backward alignment can give
-    here, is popped at once.  The stack is explicit, so depth is not
-    bounded by the recursion limit; a frame keeps only the candidate
-    list for its prefix and the index of the next one to try.  The
-    prefix is restored on return.
+    here, is dropped.  The stack is explicit, so depth is not bounded by
+    the recursion limit.  It keeps a frame only at a branch point, a
+    prefix with two candidates or more: the candidate list, the index of
+    the next one to try and the prefix's length.  A prefix with one
+    candidate pushes it and keeps nothing, so backtracking pops straight
+    to the deepest branch point with a candidate left.  The prefix is
+    restored on return.
     """
     seq = partial.seq
     graph = partial.graph
     bound = _kind_bound(graph, config)
     leaf = stop == 2 * graph.m
-
-    def expand() -> list[int]:
+    push = partial.push
+    pop = partial.pop
+    base = p = len(seq)
+    if p == stop:
+        if not leaf or _accept(partial, config, bound):
+            out.append(tuple(seq))
+        return
+    frames: list[list] = []
+    while True:
+        # Expand the prefix: its candidates, in increasing order.
         cands = feasible_neighbors(partial, config)
         if bound and cands:
             # Only the step to the far end of a's path can fail.
@@ -532,33 +653,41 @@ def _descend(
             v = partial.mate[u][a]
             if v in cands and not _kind_lookahead_ok(partial, a, u, v, bound):
                 cands.remove(v)
-        return canonical_extension(partial, cands)
-
-    if len(seq) == stop:
-        if not leaf or _accept(partial, config, bound):
-            out.append(tuple(seq))
-        return
-    frames: list[list] = [[expand(), 0]]
-    while frames:
-        frame = frames[-1]
-        cands = frame[0]
-        i = frame[1]
-        if i >= len(cands):
-            frames.pop()
-            if frames:
-                partial.pop()
-            continue
-        frame[1] = i + 1
-        partial.push(cands[i])
-        if partial.smaller_witness is not None:
-            partial.pop()
-            continue
-        if len(seq) == stop:
-            if not leaf or _accept(partial, config, bound):
-                out.append(tuple(seq))
-            partial.pop()
-            continue
-        frames.append([expand(), 0])
+        cands = canonical_extension(partial, cands)
+        # Push the next candidate, backtracking past dead ends, witnesses
+        # and leaves, until a prefix to expand is entered.
+        while True:
+            if cands:
+                v = cands[0]
+                if len(cands) > 1:
+                    frames.append([cands, 1, p])
+            elif frames:
+                frame = frames[-1]
+                cands, i, depth = frame
+                while p > depth:
+                    pop()
+                    p -= 1
+                v = cands[i]
+                i += 1
+                if i == len(cands):
+                    frames.pop()
+                else:
+                    frame[1] = i
+            else:
+                while p > base:
+                    pop()
+                    p -= 1
+                return
+            push(v)
+            p += 1
+            if partial.smaller_witness is not None:
+                cands = ()
+            elif p == stop:
+                if not leaf or _accept(partial, config, bound):
+                    out.append(tuple(seq))
+                cands = ()
+            else:
+                break
 
 
 def extend_feasibly(
@@ -624,7 +753,8 @@ def enumerate_traces(
     dealt out to that many processes, the caller included; the result is
     the same.  `jobs` below 1 is a `ValueError`.
     `aut` may pass in the graph's automorphism group if it is already
-    known.
+    known.  A configuration that `_has_no_trace` rules out returns []
+    without a search.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -633,6 +763,8 @@ def enumerate_traces(
     if aut is None:
         aut = automorphisms(graph)
     partial = PartialTrace(graph, aut)
+    if _has_no_trace(graph, config):
+        return []
     if jobs > 1:
         return _enumerate_parallel(partial, config, jobs)
     out: list[tuple[int, ...]] = []
@@ -701,6 +833,23 @@ def _enumerate_parallel(
                 child.terminate()
             child.join()
     return [trace for part in parts for trace in part]  # type: ignore[union-attr]
+
+
+def _has_no_trace(graph: Graph, config: EnumerationConfig) -> bool:
+    """Whether a parity argument rules out every trace of `config`.
+
+    A parallel trace of any kind crosses each edge twice the same way, so
+    it enters each vertex as often as it leaves: every degree is even.  A
+    strong antiparallel one needs a co-tree of even components, so an
+    even number of co-tree edges, m - n + 1.
+    """
+    if config.orientation == "parallel":
+        return not admits_parallel_strong(graph)
+    return (
+        config.kind == "strong"
+        and config.orientation == "antiparallel"
+        and (graph.m - graph.n + 1) % 2 == 1
+    )
 
 
 def admits_parallel_strong(graph: Graph) -> bool:

@@ -175,8 +175,8 @@ class TestPartialTrace:
     @pytest.mark.parametrize(
         "fixture,prefix,tail,anchored",
         [
-            ("triangle", (0, 1, 2), (1, 0), False),
-            ("k4", (0, 1, 0, 2, 1, 2, 3, 0), (3, 1), False),
+            ("triangle", (0, 1, 2, 0), (2, 1), False),
+            ("k4", (0, 1, 2, 0, 3, 1, 2, 0), (3, 1), False),
             ("k4", (0, 1, 0, 2, 1, 3, 0, 3, 2), (3, 1), True),
         ],
         ids=["triangle-reversal", "k4-end-anchored", "k4-after-anchoring"],
@@ -185,10 +185,12 @@ class TestPartialTrace:
         self, request, fixture, prefix, tail, anchored
     ):
         # The first push of `tail` finds a witness (the triangle's forward
-        # one on 0,1,2,1; K4's end-anchored one when 0,1,0,2,1,2,3,0,3 forces
-        # the closing vertex 2; a backward one on 0,1,0,2,1,3,0,3,2,3,
-        # after every open backward alignment was anchored), the second
-        # inherits it.  Popping both brings back the tied alignments.
+        # one on 0,1,2,0,2, pending on the arc (2, 0) before the push; K4's
+        # end-anchored one when 0,1,2,0,3,1,2,0,3 forces the closing
+        # vertex 1; a backward one on 0,1,0,2,1,3,0,3,2,3, after every
+        # open backward alignment was anchored), the second inherits it.
+        # Each prefix holds a tied forward alignment besides the pending
+        # ones.  Popping both brings back the tied alignments.
         pt = build_partial(request.getfixturevalue(fixture), prefix)
         before = self.snapshot(pt)
         assert before[-1] is None and before[-4]
@@ -976,6 +978,228 @@ def test_canonical_extension_drops_exactly_the_forward_witnesses():
             walk()
     # Not vacuous: some candidates are dropped.
     assert dropped > 0
+
+
+class ReferenceAlignments:
+    """The alignments tied with a prefix, advanced push by push with no
+    index: every tied forward alignment, those that start on the last arc
+    included, is compared on every step, and every backward alignment
+    that starts on the new arc from its third element on.  Each state is
+    (forward, backward, anchored, witness)."""
+
+    def __init__(self, graph, aut):
+        self.elements = aut.elements
+        self.length = 2 * graph.m
+        identity = tuple(range(graph.n))
+        forward = [(perm, 0) for perm in self.arc(0, 1) if perm != identity]
+        self.states = [(forward, [(perm, 1) for perm in self.arc(1, 0)], [], None)]
+
+    def arc(self, a, b):
+        return [perm for perm in self.elements if perm[a] == 0 and perm[b] == 1]
+
+    def canonical_extension(self, seq, candidates):
+        forward = self.states[-1][0]
+        p = len(seq)
+        return [
+            v
+            for v in candidates
+            if all(perm[v] >= (seq[p - s] if s else v) for perm, s in forward)
+        ]
+
+    def push(self, seq, closing):
+        """The state after `seq`'s last push; `closing` as `PartialTrace`
+        has it after that push."""
+        forward, backward, anchored, witness = self.states[-1]
+        if witness is not None:
+            self.states.append(self.states[-1])
+            return
+        p = len(seq)
+        v, u = seq[-1], seq[-2]
+        length = self.length
+
+        def found(element):
+            self.states.append(([], [], [], element))
+
+        tied = []
+        for perm, s in forward:
+            a, b = perm[v], seq[p - 1 - s]
+            if a < b:
+                return found(SymmetryElement(perm, s, False))
+            if a == b:
+                tied.append((perm, s))
+        if closing >= 0 and backward:
+            for perm, s in backward:
+                a, b = perm[closing], seq[s + 1]
+                if a < b:
+                    return found(SymmetryElement(perm, (length - s) % length, True))
+                if a == b:
+                    anchored = anchored + [(perm, s)]
+            backward = []
+        new_backward = []
+        for perm in self.arc(v, u):
+            image = [perm[x] for x in reversed(seq)]
+            if image < seq:
+                return found(SymmetryElement(perm, (length - p + 1) % length, True))
+            if image == seq:
+                new_backward.append((perm, p - 1))
+        tied += [(perm, p - 2) for perm in self.arc(u, v)]
+        self.states.append((tied, backward + new_backward, anchored, None))
+
+    def pop(self):
+        self.states.pop()
+
+
+def relabelled(graph, seed):
+    """`graph` under a random relabelling, its base edge normalized."""
+    perm = list(range(graph.n))
+    random.Random(seed).shuffle(perm)
+    return normalize_base_edge(Graph(graph.n, [(perm[u], perm[v]) for u, v in graph.edges]))[0]
+
+
+INDEX_CHECK_GRAPHS = {
+    "K4": named_graph("tetrahedron"),
+    "prism3": named_graph("prism", 3),
+    "pyramid4": named_graph("pyramid", 4),
+    "random3-2-relabelled": relabelled(random_graphs(3, 6)[2], 11),
+}
+
+
+@pytest.mark.parametrize("graph", INDEX_CHECK_GRAPHS.values(), ids=INDEX_CHECK_GRAPHS.keys())
+def test_two_arc_index_matches_reference(graph):
+    # Walk the search for kind and orientation any, whose tree holds that
+    # of every configuration, and push every candidate, also those that
+    # `canonical_extension` drops.  On each prefix the 2-arc index gives
+    # the reference's candidates, witness and tied alignments, once those
+    # pending on the last arc are added to `forward`.
+    aut = automorphisms(graph)
+    assert aut.order > 1
+    cfg = EnumerationConfig()
+    pt = PartialTrace(graph, aut)
+    ref = ReferenceAlignments(graph, aut)
+    seq = pt.seq
+    seen = {"prefixes": 0, "witnesses": 0, "pending": 0}
+
+    def check():
+        forward, backward, anchored, witness = ref.states[-1]
+        assert pt.smaller_witness == witness, seq
+        pending = [(perm, len(seq) - 2) for perm in pt._arc_index[seq[-2]][seq[-1]]]
+        if witness is None:
+            assert pt.forward + pending == forward, seq
+            assert pt.backward == backward and pt.anchored == anchored, seq
+            seen["pending"] += bool(pending)
+        seen["witnesses"] += witness is not None
+        seen["prefixes"] += 1
+
+    def walk():
+        if len(seq) == 2 * graph.m:
+            return
+        cands = feasible_neighbors(pt, cfg)
+        assert canonical_extension(pt, cands) == ref.canonical_extension(seq, cands), seq
+        for v in cands:
+            pt.push(v)
+            ref.push(seq, pt.closing)
+            check()
+            if pt.smaller_witness is None:
+                walk()
+            pt.pop()
+            ref.pop()
+
+    walk()
+    assert seq == [0, 1]
+    # Not vacuous: witnesses are found and alignments are pending.
+    assert min(seen.values()) > 0, seen
+
+
+def reference_accept_tails(pt):
+    """`_accept`'s canonicity verdict by list comparison of whole tails."""
+    seq = pt.seq
+    length = len(seq)
+    last, before = seq[-1], seq[-2]
+    forward = (
+        pt.forward
+        + [(perm, length - 2) for perm in pt._arc_index[before][last]]
+        + [(perm, length - 1) for perm in pt._arc_index[last][0]]
+    )
+    for perm, s in forward:
+        if [perm[x] for x in seq[:s]] < seq[length - s :]:
+            return False
+    for perm, s in pt.backward + pt.anchored + [(perm, 0) for perm in pt._arc_index[0][last]]:
+        tail = seq[s + 1 :]
+        if [perm[x] for x in tail[::-1]] < tail:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("graph", LEAF_CHECK_GRAPHS[:4])
+def test_accept_early_exit_matches_list_comparison(graph):
+    # At leaves of the search for kind any, give the state random tied
+    # alignments (automorphisms, which tie for a while, and random
+    # permutations) and compare `_accept` with whole-tail comparisons.
+    rng = random.Random(5)
+    aut = automorphisms(graph)
+    cfg = EnumerationConfig()
+    leaves = enumerate_traces(graph, cfg)
+    length = 2 * graph.m
+    verdicts = set()
+    for w in rng.sample(leaves, min(len(leaves), 20)):
+        pt = PartialTrace(graph, aut)
+        pt.move_to(w)
+        for _ in range(30):
+            def alignments(low):
+                return [
+                    (
+                        rng.choice(aut.elements)
+                        if rng.random() < 0.7
+                        else tuple(rng.sample(range(graph.n), graph.n)),
+                        rng.randrange(low, length - 1),
+                    )
+                    for _ in range(rng.randint(0, 3))
+                ]
+
+            pt.forward, pt.backward, pt.anchored = alignments(1), alignments(0), alignments(0)
+            verdict = accept(pt, cfg)
+            assert verdict == reference_accept_tails(pt), (w, pt.forward, pt.backward, pt.anchored)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+# Rows of the `tables` reference set that have no trace by a parity
+# argument, with the pushes their searches took before `enumerate_traces`
+# returned [] for them up front.
+ROOT_TESTED_ROWS = {
+    "tetrahedron-parallel": ("tetrahedron", None, "parallel", 17),
+    "cube-parallel": ("cube", None, "parallel", 138),
+    "prism4-antiparallel": ("prism", 4, "antiparallel", 119),
+    "prism6-antiparallel": ("prism", 6, "antiparallel", 3198),
+    "prism8-antiparallel": ("prism", 8, "antiparallel", 35098),
+    "prism10-antiparallel": ("prism", 10, "antiparallel", 396622),
+    "bipyramid3-antiparallel": ("bipyramid", 3, "antiparallel", 581),
+    "dodecahedron-parallel": ("dodecahedron", None, "parallel", 25925),
+}
+
+
+@pytest.mark.parametrize(
+    "name,k,orientation,pushes_before", ROOT_TESTED_ROWS.values(), ids=ROOT_TESTED_ROWS.keys()
+)
+def test_provably_empty_rows_search_nothing(monkeypatch, name, k, orientation, pushes_before):
+    calls = 0
+    original = enumerator.prune
+
+    def counting(partial):
+        nonlocal calls
+        calls += 1
+        return original(partial)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(enumerator, "prune", counting)
+    monkeypatch.setattr(multiprocessing, "Process", refuse)
+    graph = named_graph(name, k)
+    cfg = EnumerationConfig(kind="strong", orientation=orientation)
+    for jobs in (1, 2):
+        assert enumerate_traces(graph, cfg, jobs=jobs) == []
+    assert calls == 0 < pushes_before
 
 
 def reference_lookahead_ok(graph, seq, a, u, v, bound):
