@@ -23,12 +23,7 @@ import time
 from dataclasses import dataclass
 
 from .automorphism import automorphisms
-from .enumerator import (
-    ANTIPARALLEL_MAX_EDGES,
-    admits_antiparallel_strong,
-    admits_parallel_strong,
-    enumerate_traces,
-)
+from .enumerator import enumerate_traces, no_trace_reason
 from .graph import (
     Graph,
     SizeGuardError,
@@ -179,28 +174,6 @@ def _check_jobs(args: argparse.Namespace) -> None:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
 
 
-def _feasibility_note(graph: Graph, config: EnumerationConfig, count: int) -> str | None:
-    """Explain a zero count when a structural characterization predicts it."""
-    if count:
-        return None
-    # A parallel trace of any kind crosses each edge twice the same way, so
-    # it enters each vertex as often as it leaves: every degree is even.
-    if config.orientation == "parallel" and not admits_parallel_strong(graph):
-        kind = " strong" if config.kind == "strong" else ""
-        return f"no parallel{kind} trace exists: some vertex has odd degree"
-    if (
-        config.kind == "strong"
-        and config.orientation == "antiparallel"
-        and graph.m <= ANTIPARALLEL_MAX_EDGES
-        and not admits_antiparallel_strong(graph)
-    ):
-        return (
-            "no antiparallel strong trace exists: every spanning tree "
-            "leaves a co-tree with an odd component"
-        )
-    return None
-
-
 def cmd_enumerate(args: argparse.Namespace) -> int:
     _check_jobs(args)
     loaded = _load_graph(args)
@@ -211,7 +184,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         traces = enumerate_traces(graph, config, jobs=args.jobs)
         seconds = time.perf_counter() - started
         count = len(traces)
-        note = _feasibility_note(graph, config, count)
+        note = None if count else no_trace_reason(graph, config)
         if args.format == "json":
             payload = {
                 "graph": loaded.label,

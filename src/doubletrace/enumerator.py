@@ -77,7 +77,9 @@ frontier order, and the output is identical to the serial search's.
 Two configurations have no trace on some graphs, and `enumerate_traces`
 returns [] for them without searching: parallel orientation on a graph
 with a vertex of odd degree, and strong antiparallel traces on a graph
-of odd cycle rank m - n + 1 (see `admits_antiparallel_strong`).
+that fails the spanning-tree test of `admits_antiparallel_strong` (above
+its size limit, its parity half: odd cycle rank m - n + 1).
+`no_trace_reason` decides both and says why.
 """
 
 from __future__ import annotations
@@ -753,7 +755,7 @@ def enumerate_traces(
     dealt out to that many processes, the caller included; the result is
     the same.  `jobs` below 1 is a `ValueError`.
     `aut` may pass in the graph's automorphism group if it is already
-    known.  A configuration that `_has_no_trace` rules out returns []
+    known.  A configuration that `no_trace_reason` rules out returns []
     without a search.
     """
     if jobs < 1:
@@ -763,7 +765,7 @@ def enumerate_traces(
     if aut is None:
         aut = automorphisms(graph)
     partial = PartialTrace(graph, aut)
-    if _has_no_trace(graph, config):
+    if no_trace_reason(graph, config) is not None:
         return []
     if jobs > 1:
         return _enumerate_parallel(partial, config, jobs)
@@ -835,20 +837,33 @@ def _enumerate_parallel(
     return [trace for part in parts for trace in part]  # type: ignore[union-attr]
 
 
-def _has_no_trace(graph: Graph, config: EnumerationConfig) -> bool:
-    """Whether a parity argument rules out every trace of `config`.
+def no_trace_reason(graph: Graph, config: EnumerationConfig) -> str | None:
+    """Why no trace of `config` exists on `graph`, or None if no
+    structural test rules every trace out.
 
     A parallel trace of any kind crosses each edge twice the same way, so
     it enters each vertex as often as it leaves: every degree is even.  A
-    strong antiparallel one needs a co-tree of even components, so an
-    even number of co-tree edges, m - n + 1.
+    strong antiparallel one needs a spanning tree whose co-tree
+    components all have an even number of edges; above
+    `ANTIPARALLEL_MAX_EDGES` only the parity half is tested, an even
+    number of co-tree edges, m - n + 1.
     """
     if config.orientation == "parallel":
-        return not admits_parallel_strong(graph)
+        if admits_parallel_strong(graph):
+            return None
+        kind = " strong" if config.kind == "strong" else ""
+        return f"no parallel{kind} trace exists: some vertex has odd degree"
+    if config.kind != "strong" or config.orientation != "antiparallel":
+        return None
+    if graph.m <= ANTIPARALLEL_MAX_EDGES:
+        admitted = admits_antiparallel_strong(graph)
+    else:
+        admitted = (graph.m - graph.n + 1) % 2 == 0
+    if admitted:
+        return None
     return (
-        config.kind == "strong"
-        and config.orientation == "antiparallel"
-        and (graph.m - graph.n + 1) % 2 == 1
+        "no antiparallel strong trace exists: every spanning tree "
+        "leaves a co-tree with an odd component"
     )
 
 

@@ -46,7 +46,7 @@ class EnumerationConfig:
             if isinstance(self.d, bool) or not isinstance(self.d, int) or self.d < 1:
                 raise ValueError("stable kind needs a positive integer d")
         elif self.d is not None:
-            raise ValueError(f"d is only meaningful for kind 'stable', got kind {self.kind!r}")
+            raise ValueError("d is only meaningful for kind 'stable'")
 
     def describe(self) -> str:
         kind = f"stable({self.d})" if self.kind == "stable" else self.kind
@@ -81,11 +81,7 @@ def _transition_pairs(graph: Graph, seq: Sequence[int]) -> list[list[tuple[int, 
 
 def transition_components(graph: Graph, seq: Sequence[int], v: int) -> list[list[int]]:
     """Connected components of the transition structure at v, sorted."""
-    length = len(seq)
-    pairs = [
-        (seq[i - 1], seq[(i + 1) % length]) for i in range(length) if seq[i] == v
-    ]
-    return components(graph.neighbors(v), pairs)
+    return components(graph.neighbors(v), _transition_pairs(graph, seq)[v])
 
 
 def repetitions(graph: Graph, seq: Sequence[int], v: int) -> list[list[int]]:

@@ -158,6 +158,31 @@ class TestEnumerate:
         assert payload["count"] == 0
         assert "spanning tree" in payload["note"]
 
+    def test_note_on_odd_cycle_rank_above_the_spanning_tree_limit(self, capsys):
+        # prism:6 has 18 edges, more than the spanning-tree test takes, and
+        # an odd cycle rank, 7: some co-tree component is odd.
+        code, out, _ = run(
+            capsys,
+            "enumerate", "--named", "prism:6", "--kind", "strong",
+            "--orientation", "antiparallel",
+        )
+        assert code == EXIT_OK
+        assert "# count: 0" in out
+        assert "# note: no antiparallel strong trace exists: every spanning tree" in out
+
+    def test_json_note_on_odd_cycle_rank_dodecahedron(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "enumerate", "--named", "dodecahedron", "--kind", "strong",
+            "--orientation", "antiparallel", "--format", "json",
+        )
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["count"] == 0
+        assert payload["note"].startswith(
+            "no antiparallel strong trace exists: every spanning tree"
+        )
+
     def test_json_out_file(self, capsys, tmp_path):
         target = tmp_path / "traces.json"
         code, out, _ = run(
@@ -219,6 +244,21 @@ class TestUsageErrors:
         code, _, err = run(capsys, *argv)
         assert code == EXIT_USAGE
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("enumerate", "--named", "cube", "--kind", "double", "--d", "2"),
+            ("verify", "--named", "tetrahedron", "--kinds", "double:2"),
+        ],
+        ids=["enumerate", "verify"],
+    )
+    def test_d_error_names_no_kind_the_user_did_not_type(self, capsys, argv):
+        # The CLI's "double" is the configuration's "any".
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert "d is only meaningful for kind 'stable'" in err
+        assert "'any'" not in err
 
     @pytest.mark.parametrize(
         "argv",

@@ -34,6 +34,7 @@ from doubletrace.enumerator import (
     _kind_bound,
     _kind_lookahead_ok,
     extend_feasibly,
+    no_trace_reason,
 )
 
 K4_STRONG = (0, 1, 2, 0, 1, 3, 0, 2, 3, 1, 2, 3)
@@ -1202,6 +1203,62 @@ def test_provably_empty_rows_search_nothing(monkeypatch, name, k, orientation, p
     assert calls == 0 < pushes_before
 
 
+# A graph of even cycle rank with no strong antiparallel trace: the
+# spanning-tree test decides it at the root, where its search took 9
+# pushes while only the parity half was tested there.
+SPANNING_TREE_DECIDED = (random_graphs(5, 24)[5], 9)
+
+
+def test_spanning_tree_decided_graph_searches_nothing(monkeypatch):
+    graph, pushes_before = SPANNING_TREE_DECIDED
+    assert (graph.m - graph.n + 1) % 2 == 0
+    calls = 0
+    original = enumerator.prune
+
+    def counting(partial):
+        nonlocal calls
+        calls += 1
+        return original(partial)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(enumerator, "prune", counting)
+    monkeypatch.setattr(multiprocessing, "Process", refuse)
+    cfg = EnumerationConfig(kind="strong", orientation="antiparallel")
+    for jobs in (1, 2):
+        assert enumerate_traces(graph, cfg, jobs=jobs) == []
+    assert calls == 0 < pushes_before
+
+
+# The graphs with at most `ANTIPARALLEL_MAX_EDGES` edges whose searches
+# are quick: the named ones and the random ones of the oracle tests.
+REASON_CHECK_GRAPHS = {
+    "tetrahedron": named_graph("tetrahedron"),
+    "cube": named_graph("cube"),
+    "octahedron": named_graph("octahedron"),
+    **{f"prism{k}": named_graph("prism", k) for k in (3, 4, 5)},
+    **{f"pyramid{k}": named_graph("pyramid", k) for k in (4, 5, 6)},
+    **{f"bipyramid{k}": named_graph("bipyramid", k) for k in (3, 4)},
+    **{f"random3-{i}": g for i, g in enumerate(random_graphs(3, 6))},
+    **{f"random5-{i}": g for i, g in enumerate(random_graphs(5, 24))},
+}
+
+
+@pytest.mark.parametrize(
+    "graph", REASON_CHECK_GRAPHS.values(), ids=REASON_CHECK_GRAPHS.keys()
+)
+def test_no_trace_reason_is_sound(monkeypatch, graph):
+    # Wherever a reason is given, the search, run with the root decision
+    # bypassed, finds no trace.
+    assert graph.m <= enumerator.ANTIPARALLEL_MAX_EDGES
+    reasons = {cfg: no_trace_reason(graph, cfg) for cfg in ALL_CONFIGS}
+    monkeypatch.setattr(enumerator, "no_trace_reason", lambda graph, config: None)
+    for cfg, reason in reasons.items():
+        if reason is not None:
+            assert enumerate_traces(graph, cfg) == [], (cfg.describe(), reason)
+
+
 def reference_lookahead_ok(graph, seq, a, u, v, bound):
     """`_kind_lookahead_ok` from `seq` alone: the transition multigraph at
     u plus the pair {a, v}, then a search for the component of a."""
@@ -1330,9 +1387,12 @@ class TestFeasibilityPredicates:
 
     # random_graphs(5, 24)[5] has an even number of co-tree edges and no
     # antiparallel strong trace: its False comes from the spanning trees.
+    # `enumerate_traces` decides from the same test at the root, so the
+    # search runs here with that decision bypassed.
     @pytest.mark.parametrize("graph", random_graphs(3, 6) + random_graphs(5, 24))
-    def test_antiparallel_strong_matches_search(self, graph):
+    def test_antiparallel_strong_matches_search(self, monkeypatch, graph):
         assert graph.m <= enumerator.ANTIPARALLEL_MAX_EDGES
+        monkeypatch.setattr(enumerator, "no_trace_reason", lambda graph, config: None)
         cfg = EnumerationConfig(kind="strong", orientation="antiparallel")
         assert admits_antiparallel_strong(graph) == bool(enumerate_traces(graph, cfg))
 
