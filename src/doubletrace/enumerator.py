@@ -74,19 +74,26 @@ search below it to full length.  So the split is dealt on demand and
 differs from run to run, but each prefix's traces are put back in
 frontier order, and the output is identical to the serial search's.
 
-Two configurations have no trace on some graphs, and `enumerate_traces`
-returns [] for them without searching: parallel orientation on a graph
-with a vertex of odd degree, and strong antiparallel traces on a graph
-that fails the spanning-tree test of `admits_antiparallel_strong` (above
-its size limit, its parity half: odd cycle rank m - n + 1).
-`no_trace_reason` decides both and says why.
+The search holds no trace: `_descend` yields each accepted walk, and
+its caller keeps what it needs of them.  `enumerate_traces` keeps the
+sorted list.  `count_traces` keeps only the number, so its memory is
+proportional to the depth of the search, and with `jobs > 1` each
+process sends back one count per frontier prefix it searched.
+
+Two configurations have no trace on some graphs, and both functions
+answer [] or 0 for them without searching, and without computing the
+automorphism group: parallel orientation on a graph with a vertex of
+odd degree, and strong antiparallel traces on a graph that fails the
+spanning-tree test of `admits_antiparallel_strong` (above its size
+limit, its parity half: odd cycle rank m - n + 1).  `no_trace_reason`
+decides both and says why.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import chain, combinations, repeat
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .automorphism import AutGroup, SymmetryElement, automorphisms
 from .graph import Graph, SizeGuardError, components
@@ -108,9 +115,20 @@ from .traces import (  # noqa: F401
 # on cube strong (28-72 ms against 22 ms, medians of 5).
 FRONTIER_PER_JOB = 16
 
+# What a search makes of the traces below one prefix: a list or a count.
+_Part = TypeVar("_Part")
+
 # `admits_antiparallel_strong` enumerates spanning trees, so it refuses
 # graphs with more edges than this.
 ANTIPARALLEL_MAX_EDGES = 16
+
+
+def _require_base_edge(graph: Graph) -> None:
+    if graph.n < 2 or not graph.has_edge(0, 1):
+        raise ValueError(
+            "enumeration needs vertices 0 and 1 adjacent; "
+            "relabel with normalize_base_edge first"
+        )
 
 
 class PartialTrace:
@@ -210,11 +228,7 @@ class PartialTrace:
     )
 
     def __init__(self, graph: Graph, aut: AutGroup):
-        if graph.n < 2 or not graph.has_edge(0, 1):
-            raise ValueError(
-                "enumeration needs vertices 0 and 1 adjacent; "
-                "relabel with normalize_base_edge first"
-            )
+        _require_base_edge(graph)
         e = graph.edge_id(0, 1)
         self.graph = graph
         self.seq = [0, 1]
@@ -613,25 +627,27 @@ def _accept(partial: PartialTrace, config: EnumerationConfig, bound: int) -> boo
 
 
 def _descend(
-    partial: PartialTrace, config: EnumerationConfig, stop: int, out: list[tuple[int, ...]]
-) -> None:
-    """Exhaust the subtree under one prefix down to length `stop`.
+    partial: PartialTrace, config: EnumerationConfig, stop: int
+) -> Iterator[tuple[int, ...]]:
+    """Yield the walks of the subtree under one prefix, down to length
+    `stop`.
 
-    At full length a prefix is a leaf and goes to `out` if `_accept`
-    takes it.  At a shorter stop the prefix itself goes to `out` and the
-    search backtracks.  A prefix's candidates are its feasible steps
-    that pass the kind lookahead and `canonical_extension`, tried in
-    increasing order, so `out` grows in lexicographic order.  Children
-    are explored by push/pop on the one search state, whose push
-    advances the tied symmetries and whose pop restores them; a push
-    that meets a witness, which only a backward alignment can give
-    here, is dropped.  The stack is explicit, so depth is not bounded by
-    the recursion limit.  It keeps a frame only at a branch point, a
-    prefix with two candidates or more: the candidate list, the index of
-    the next one to try and the prefix's length.  A prefix with one
-    candidate pushes it and keeps nothing, so backtracking pops straight
-    to the deepest branch point with a candidate left.  The prefix is
-    restored on return.
+    At full length a prefix is a leaf and is yielded if `_accept` takes
+    it.  At a shorter stop the prefix itself is yielded and the search
+    backtracks.  A prefix's candidates are its feasible steps that pass
+    the kind lookahead and `canonical_extension`, tried in increasing
+    order, so the walks come in lexicographic order.  Each is a new
+    tuple, and the search holds none of them, so the caller decides what
+    to keep.  Children are explored by push/pop on the one search state,
+    whose push advances the tied symmetries and whose pop restores them;
+    a push that meets a witness, which only a backward alignment can
+    give here, is dropped.  The stack is explicit, so depth is not
+    bounded by the recursion limit.  It keeps a frame only at a branch
+    point, a prefix with two candidates or more: the candidate list, the
+    index of the next one to try and the prefix's length.  A prefix with
+    one candidate pushes it and keeps nothing, so backtracking pops
+    straight to the deepest branch point with a candidate left.  The
+    prefix is restored once the walks are exhausted.
     """
     seq = partial.seq
     graph = partial.graph
@@ -642,7 +658,7 @@ def _descend(
     base = p = len(seq)
     if p == stop:
         if not leaf or _accept(partial, config, bound):
-            out.append(tuple(seq))
+            yield tuple(seq)
         return
     frames: list[list] = []
     while True:
@@ -686,10 +702,15 @@ def _descend(
                 cands = ()
             elif p == stop:
                 if not leaf or _accept(partial, config, bound):
-                    out.append(tuple(seq))
+                    yield tuple(seq)
                 cands = ()
             else:
                 break
+
+
+def _count(walks: Iterable[tuple[int, ...]]) -> int:
+    """The number of walks, keeping none of them."""
+    return sum(1 for _ in walks)
 
 
 def extend_feasibly(
@@ -702,9 +723,7 @@ def extend_feasibly(
     the forward comparisons of `canonical_extension` and the rest of
     `prune`.  `depth` must be shorter than a full trace.
     """
-    out: list[tuple[int, ...]] = []
-    _descend(partial, config, depth, out)
-    return out
+    return list(_descend(partial, config, depth))
 
 
 def _search_dealt(
@@ -712,12 +731,14 @@ def _search_dealt(
     config: EnumerationConfig,
     prefixes: list[tuple[int, ...]],
     counter,
-) -> list[tuple[int, list[tuple[int, ...]]]]:
+    collect: Callable[[Iterator[tuple[int, ...]]], _Part],
+) -> list[tuple[int, _Part]]:
     """Search below the frontier prefixes dealt to this process.
 
     Takes the next prefix index from the shared `counter` until none is
     left, moves `partial` to that prefix and searches it to full length.
-    Returns (index, traces) for each prefix taken.
+    Returns (index, part) for each prefix taken, the part being what
+    `collect` makes of the traces below it.
     """
     parts = []
     while True:
@@ -727,16 +748,44 @@ def _search_dealt(
         if index >= len(prefixes):
             return parts
         partial.move_to(prefixes[index])
-        traces: list[tuple[int, ...]] = []
-        _descend(partial, config, 2 * partial.graph.m, traces)
-        parts.append((index, traces))
+        parts.append((index, collect(_descend(partial, config, 2 * partial.graph.m))))
 
 
-def _search_child(partial, config, prefixes, counter, conn) -> None:
+def _search_child(partial, config, prefixes, counter, collect, conn) -> None:
     """A worker process: its share of the frontier, sent back whole once
     the counter runs out, so that it never waits on the caller mid-search."""
-    conn.send(_search_dealt(partial, config, prefixes, counter))
+    conn.send(_search_dealt(partial, config, prefixes, counter, collect))
     conn.close()
+
+
+def _search(
+    graph: Graph,
+    config: EnumerationConfig | None,
+    jobs: int,
+    aut: AutGroup | None,
+    collect: Callable[[Iterator[tuple[int, ...]]], _Part],
+) -> list[_Part]:
+    """The front end of `enumerate_traces` and `count_traces`: check the
+    arguments, decide the root and search.
+
+    Returns what `collect` makes of the traces of each searched subtree,
+    in search order: one part serially, one per frontier prefix in
+    parallel, and none where `no_trace_reason` rules out every trace,
+    which it decides before the automorphism group is computed.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if config is None:
+        config = EnumerationConfig()
+    _require_base_edge(graph)
+    if no_trace_reason(graph, config) is not None:
+        return []
+    if aut is None:
+        aut = automorphisms(graph)
+    partial = PartialTrace(graph, aut)
+    if jobs > 1:
+        return _enumerate_parallel(partial, config, jobs, collect)
+    return [collect(_descend(partial, config, 2 * graph.m))]
 
 
 def enumerate_traces(
@@ -758,33 +807,41 @@ def enumerate_traces(
     known.  A configuration that `no_trace_reason` rules out returns []
     without a search.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    if config is None:
-        config = EnumerationConfig()
-    if aut is None:
-        aut = automorphisms(graph)
-    partial = PartialTrace(graph, aut)
-    if no_trace_reason(graph, config) is not None:
-        return []
-    if jobs > 1:
-        return _enumerate_parallel(partial, config, jobs)
-    out: list[tuple[int, ...]] = []
-    _descend(partial, config, 2 * graph.m, out)
-    return out
+    parts = _search(graph, config, jobs, aut, list)
+    # A single part, the serial search's, is returned without a copy.
+    return parts[0] if len(parts) == 1 else list(chain.from_iterable(parts))
+
+
+def count_traces(
+    graph: Graph,
+    config: EnumerationConfig | None = None,
+    *,
+    jobs: int = 1,
+    aut: AutGroup | None = None,
+) -> int:
+    """`len(enumerate_traces(graph, config, jobs=jobs, aut=aut))`, in
+    memory proportional to the depth of the search: no trace is kept,
+    and with `jobs > 1` each process sends back one count per frontier
+    prefix it searched."""
+    return sum(_search(graph, config, jobs, aut, _count))
 
 
 def _enumerate_parallel(
-    partial: PartialTrace, config: EnumerationConfig, jobs: int
-) -> list[tuple[int, ...]]:
+    partial: PartialTrace,
+    config: EnumerationConfig,
+    jobs: int,
+    collect: Callable[[Iterator[tuple[int, ...]]], _Part],
+) -> list[_Part]:
     """Split the search at the shallowest frontier wide enough for `jobs`.
 
     `jobs - 1` child processes and the caller take frontier prefixes on
     demand from one shared counter, so a heavy subtree holds up only the
     process searching it.  Each process moves one search state from
-    prefix to prefix.  The frontier's prefixes have equal length and come
+    prefix to prefix and sends back what `collect` makes of each
+    prefix's traces.  The frontier's prefixes have equal length and come
     in lexicographic order, and each subtree's traces come sorted, so
-    concatenating them in frontier order gives the sorted output.
+    the parts are returned in frontier order, and concatenating lists of
+    traces gives the sorted output.
 
     A frontier of at most one prefix, or one that stays narrower down to
     the last step before full length (at most one leaf below each
@@ -802,25 +859,25 @@ def _enumerate_parallel(
         prefixes = extend_feasibly(partial, config, depth)
     split = len(prefixes) > 1 and depth + 1 < length
     counter = multiprocessing.Value("i", 0)
-    parts: list[list[tuple[int, ...]] | None] = [None] * len(prefixes)
+    parts: list = [None] * len(prefixes)
     children = []
     try:
         for _ in range(jobs - 1 if split else 0):
             receiver, sender = multiprocessing.Pipe(duplex=False)
             child = multiprocessing.Process(
                 target=_search_child,
-                args=(partial, config, prefixes, counter, sender),
+                args=(partial, config, prefixes, counter, collect, sender),
                 daemon=True,
             )
             child.start()
             sender.close()
             children.append((child, receiver))
-        for index, traces in _search_dealt(partial, config, prefixes, counter):
-            parts[index] = traces
+        for index, part in _search_dealt(partial, config, prefixes, counter, collect):
+            parts[index] = part
         for child, receiver in children:
             try:
-                for index, traces in receiver.recv():
-                    parts[index] = traces
+                for index, part in receiver.recv():
+                    parts[index] = part
             except EOFError:
                 pass
             child.join()
@@ -834,7 +891,7 @@ def _enumerate_parallel(
             if child.is_alive():
                 child.terminate()
             child.join()
-    return [trace for part in parts for trace in part]  # type: ignore[union-attr]
+    return parts
 
 
 def no_trace_reason(graph: Graph, config: EnumerationConfig) -> str | None:

@@ -4,12 +4,15 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from doubletrace import SizeGuardError, cli, oracle
+from doubletrace import SizeGuardError, cli, enumerator, oracle
 from doubletrace.cli import EXIT_GUARD, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
+
+from test_enumerator import SPANNING_TREE_DECIDED
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -182,6 +185,86 @@ class TestEnumerate:
         assert payload["note"].startswith(
             "no antiparallel strong trace exists: every spanning tree"
         )
+
+    def test_note_asks_the_spanning_tree_test_once(self, capsys, monkeypatch, tmp_path):
+        # The note is decided before the search, which then does not run.
+        calls = 0
+        original = enumerator.admits_antiparallel_strong
+
+        def counting(graph):
+            nonlocal calls
+            calls += 1
+            return original(graph)
+
+        monkeypatch.setattr(enumerator, "admits_antiparallel_strong", counting)
+        graph = SPANNING_TREE_DECIDED[0]
+        path = tmp_path / "graph.edges"
+        path.write_text("".join(f"{u} {v}\n" for u, v in graph.edges))
+        code, out, _ = run(
+            capsys,
+            "enumerate", "--edges", str(path), "--kind", "strong", "--orientation", "antiparallel",
+        )
+        assert code == EXIT_OK
+        assert "# count: 0" in out
+        assert "# note: no antiparallel strong trace exists: every spanning tree" in out
+        assert calls == 1
+
+    # sha256 of the prism:3 strong report less its "seconds" line: as text
+    # (on stdout and in the --out file) and as JSON.
+    PRISM3_STRONG_SHA256 = {
+        "text": "3836c4ad5ab4a235d14df690a6f4dd17798607ef9b8d469f270ab8579a92f4f2",
+        "json": "ae1d8e083a0cc36861bdab434d96bafce138348b1e7e9d76267e353ccbd90a8a",
+    }
+
+    @staticmethod
+    def without_seconds(text):
+        return "".join(
+            line for line in text.splitlines(keepends=True)
+            if not line.startswith("# seconds:") and '"seconds":' not in line
+        )
+
+    def test_reports_are_pinned(self, capsys, tmp_path):
+        argv = ["enumerate", "--named", "prism:3", "--kind", "strong"]
+        for fmt, digest in self.PRISM3_STRONG_SHA256.items():
+            code, out, _ = run(capsys, *argv, "--format", fmt)
+            assert code == EXIT_OK
+            assert hashlib.sha256(self.without_seconds(out).encode()).hexdigest() == digest, fmt
+        target = tmp_path / "traces.txt"
+        code, out, _ = run(capsys, *argv, "--out", str(target))
+        assert code == EXIT_OK
+        text = self.without_seconds(target.read_text())
+        assert hashlib.sha256(text.encode()).hexdigest() == self.PRISM3_STRONG_SHA256["text"]
+        assert self.without_seconds(out) == (
+            "# graph: prism:3 (n=6, m=9)\n# config: kind=strong orientation=any\n"
+            f"# count: 25\n# wrote {target}\n"
+        )
+
+    @staticmethod
+    def peak_bytes(capsys, *argv):
+        """Peak traced memory of one CLI run, its output captured."""
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert "# count: 3604" in out
+        return peak
+
+    # prism:6 strong has 3 604 traces of 36 vertices, about 1.3 MB as
+    # tuples.  Measured peaks under capsys: 0.06-0.10 MB when only
+    # counted, against 1.27-1.29 MB for the length of a list; 1.36 MB for
+    # the text report, which frees each tuple once its line exists,
+    # against 2.57 MB holding the tuples, the lines and the joined text
+    # at once.
+    def test_count_only_holds_no_trace(self, capsys):
+        argv = ["enumerate", "--named", "prism:6", "--kind", "strong", "--count-only"]
+        assert self.peak_bytes(capsys, *argv) < 600_000
+
+    def test_text_report_holds_each_trace_once(self, capsys):
+        argv = ["enumerate", "--named", "prism:6", "--kind", "strong"]
+        assert self.peak_bytes(capsys, *argv) < 1_900_000
 
     def test_json_out_file(self, capsys, tmp_path):
         target = tmp_path / "traces.json"

@@ -19,6 +19,7 @@ from doubletrace import (
     brute_enumerate,
     canonical_extension,
     canonical_orbit_representatives,
+    count_traces,
     enumerate_traces,
     feasible_neighbors,
     is_canonical,
@@ -747,9 +748,12 @@ class TestEnumerateTraces:
             assert is_canonical(prism3, w, aut)
 
     def test_requires_base_edge(self):
+        # Refused before the root decision: this path has no parallel trace.
         g = Graph(3, [(0, 2), (1, 2)])
-        with pytest.raises(ValueError, match="adjacent"):
-            enumerate_traces(g)
+        for cfg in (None, EnumerationConfig(orientation="parallel")):
+            for search in (enumerate_traces, count_traces):
+                with pytest.raises(ValueError, match="adjacent"):
+                    search(g, cfg)
 
     def test_stable_above_min_degree_is_strong(self, triangle):
         # No repetition has 3 of the triangle's vertices, so stable(3)
@@ -799,7 +803,9 @@ class TestEnumerateTraces:
             raise AssertionError("a process was started")
 
         monkeypatch.setattr(multiprocessing, "Process", refuse)
-        assert enumerate_traces(graph, cfg, jobs=3) == enumerate_traces(graph, cfg)
+        serial = enumerate_traces(graph, cfg)
+        assert enumerate_traces(graph, cfg, jobs=3) == serial
+        assert count_traces(graph, cfg, jobs=3) == len(serial)
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
@@ -822,8 +828,10 @@ class TestEnumerateTraces:
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_rejected(self, k4, jobs):
-        with pytest.raises(ValueError, match="jobs must be at least 1"):
-            enumerate_traces(k4, jobs=jobs)
+        # Raised at the call, not when a result is first read.
+        for search in (enumerate_traces, count_traces):
+            with pytest.raises(ValueError, match="jobs must be at least 1"):
+                search(k4, jobs=jobs)
 
     def test_precomputed_aut_accepted(self, k4):
         aut = automorphisms(k4)
@@ -937,6 +945,55 @@ def test_pendant_start_vertex_serial_and_parallel_match_oracle(graph):
         expected = canonical_orbit_representatives(graph, cfg)
         assert enumerate_traces(graph, cfg) == expected, cfg.describe()
         assert enumerate_traces(graph, cfg, jobs=2) == expected, cfg.describe()
+
+
+def table_calls():
+    """The calls `tables` makes on its rows that are not slow: (id,
+    graph, config, count)."""
+    from doubletrace.cli import _TABLE_ROWS
+
+    for _, spec, strong, orientation, oriented, slow in _TABLE_ROWS:
+        if slow:
+            continue
+        name, _, size = spec.partition(":")
+        graph = named_graph(name, int(size) if size else None)
+        yield f"{spec}-strong", graph, EnumerationConfig(kind="strong"), strong
+        yield (
+            f"{spec}-strong-{orientation}",
+            graph,
+            EnumerationConfig(kind="strong", orientation=orientation),
+            oriented,
+        )
+
+
+TABLE_CALLS = list(table_calls())
+
+
+@pytest.mark.parametrize(
+    "graph,cfg,expected", [c[1:] for c in TABLE_CALLS], ids=[c[0] for c in TABLE_CALLS]
+)
+def test_count_traces_on_the_table_rows(graph, cfg, expected):
+    # test_acceptance pins the length of `enumerate_traces` on these rows
+    # to the same counts.
+    aut = automorphisms(graph)
+    for jobs in (1, 2, 3):
+        assert count_traces(graph, cfg, jobs=jobs, aut=aut) == expected, jobs
+
+
+COUNT_CHECK_GRAPHS = {
+    **{f"random3-{i}": g for i, g in enumerate(random_graphs(3, 6))},
+    **PENDANT_START_GRAPHS,
+}
+
+
+@pytest.mark.parametrize(
+    "graph", COUNT_CHECK_GRAPHS.values(), ids=COUNT_CHECK_GRAPHS.keys()
+)
+def test_count_traces_matches_the_list(graph):
+    for cfg in ALL_CONFIGS:
+        expected = len(enumerate_traces(graph, cfg))
+        for jobs in (1, 2, 3):
+            assert count_traces(graph, cfg, jobs=jobs) == expected, (cfg.describe(), jobs)
 
 
 def test_canonical_extension_drops_exactly_the_forward_witnesses():
@@ -1201,6 +1258,19 @@ def test_provably_empty_rows_search_nothing(monkeypatch, name, k, orientation, p
     for jobs in (1, 2):
         assert enumerate_traces(graph, cfg, jobs=jobs) == []
     assert calls == 0 < pushes_before
+
+
+def test_root_decision_comes_before_the_automorphism_group(monkeypatch):
+    # Dodecahedron strong antiparallel is decided by its odd cycle rank,
+    # so neither function computes the group of order 120.
+    def refuse(graph):
+        raise AssertionError("automorphisms computed")
+
+    monkeypatch.setattr(enumerator, "automorphisms", refuse)
+    graph = named_graph("dodecahedron")
+    cfg = EnumerationConfig(kind="strong", orientation="antiparallel")
+    assert enumerate_traces(graph, cfg) == []
+    assert count_traces(graph, cfg) == 0
 
 
 # A graph of even cycle rank with no strong antiparallel trace: the
