@@ -21,6 +21,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from typing import Iterable
 
 from .automorphism import automorphisms
 from .enumerator import count_traces, enumerate_traces, no_trace_reason
@@ -117,14 +118,16 @@ def _output_file(path: str | None):
         raise
 
 
-def _write_file(handle, text: str) -> None:
-    """Replace the contents of an open output file with `text` and a
-    newline; failing to is a usage error."""
+def _write_file(handle, chunks: Iterable[str]) -> None:
+    """Replace the contents of an open output file with the text of
+    `chunks`, written one at a time, and a newline; failing to is a
+    usage error."""
     try:
         # A pipe or a terminal has no contents to replace.
         if handle.seekable():
             handle.truncate(0)
-        handle.write(text + "\n")
+        handle.writelines(chunks)
+        handle.write("\n")
         handle.flush()
     except OSError as exc:
         raise UsageError(f"cannot write {handle.name}: {exc}") from None
@@ -205,7 +208,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
                 "traces": None if args.count_only else traces,
             }
             header = []
-            text = json.dumps({k: v for k, v in payload.items() if v is not None}, indent=2)
+            # Encoded chunk by chunk as it is written, never held whole.
+            chunks = json.JSONEncoder(indent=2).iterencode(
+                {k: v for k, v in payload.items() if v is not None}
+            )
         else:
             header = [f"# graph: {loaded.label} (n={graph.n}, m={graph.m})"]
             if loaded.relabeling is not None:
@@ -222,12 +228,13 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             lines = traces
             for i, trace in enumerate(lines):
                 lines[i] = format_trace(trace)
-            text = "\n".join(header + lines)
+            chunks = ("\n".join(header + lines),)
         # With --out, stdout gets the header lines only.
         if out:
-            _write_file(out, text)
-            text = "\n".join(header + [f"# wrote {args.out}"])
-        print(text)
+            _write_file(out, chunks)
+            chunks = ("\n".join(header + [f"# wrote {args.out}"]),)
+        sys.stdout.writelines(chunks)
+        sys.stdout.write("\n")
         return EXIT_OK
 
 
@@ -267,7 +274,7 @@ def cmd_orbits(args: argparse.Namespace) -> int:
         aut = automorphisms(graph)
         report = orbit_partition(traces, aut, args.subgroup)
         if dot:
-            _write_file(dot, report.to_dot())
+            _write_file(dot, (report.to_dot(),))
     if args.format == "json":
         print(json.dumps(report.to_json(), indent=2))
     else:

@@ -43,7 +43,8 @@ symmetries map onto the start of the walk.
 The walk's end is known early.  When it leaves vertex 0 for the last
 time, the one traversal left at 0 is the closing step, so w_{2m-1} is
 the neighbour c of 0 whose edge still has capacity
-(`PartialTrace.closing`).  From then on `feasible_neighbors` no longer
+(`PartialTrace.closing`).  The push that forces c counts the closing
+step in the edge counts, so from then on `feasible_neighbors` no longer
 offers the step c -> 0, which would strand the walk at 0, and `prune`
 compares each tied backward alignment's next image element, perm[c],
 with w_{s+1}.
@@ -56,9 +57,19 @@ by the same kind lookahead as every other step; and canonicity, from
 the parts of the images that read across the closing arc: the wrapped
 tails of the alignments still tied, the forward ones pending on the
 last arc included, and the two alignments that start on the closing
-arc, each compared up to its first difference.  Every other step was
-checked on the way down, so each accepted leaf is a canonical double
-trace of the requested kind and orientation.
+arc, each compared up to its first difference.  The 2-arc index
+decides the last arc's forward alignments and the closing arc's, in
+both directions, on their third element, so only the tails of the tied
+ones are walked.  Every other step was checked on the way down, so
+each accepted leaf is a canonical double trace of the requested kind
+and orientation.
+
+Only the kind lookahead reads the transition structure at each vertex
+(`PartialTrace.mate` and `span`), so a search with no kind bound (kind
+any) builds its state without it, and `push` and `pop` skip it.  An
+edge's first traversal direction (`PartialTrace.edge_from`) is read
+only while the edge is used, so `pop` does not reset it when the edge
+empties.
 
 One loop, `_descend`, runs the search, in place on a single
 `PartialTrace`: the one search state, holding the prefix and the
@@ -92,7 +103,7 @@ decides both and says why.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .automorphism import AutGroup, SymmetryElement, automorphisms
@@ -141,11 +152,14 @@ class PartialTrace:
     backward alignments starting on the arc (1, 0), which read 0 1 from
     the root.
 
-    The walk's bookkeeping: per-edge use counts and first traversal
-    directions (-1 while unused), and the transition structure already
-    completed at each vertex (a visit's pair is complete once both its
-    neighbours in the walk are known; the pairs at w_0 and at the final
-    vertex close only when the walk does).
+    The walk's bookkeeping: per-edge use counts, the closing step's
+    included once it is forced (see `closing`); first traversal
+    directions, meaningful only while their edge is used (-1 before its
+    first use, stale after a pop empties it); and, unless built with
+    `transitions=False`, the transition structure already completed at
+    each vertex (a visit's pair is complete once both its neighbours in
+    the walk are known; the pairs at w_0 and at the final vertex close
+    only when the walk does); without it `mate` and `span` are None.
     A neighbour has two pair slots at u, one per traversal of their
     edge, so the pairs at u form paths and cycles over u's neighbours.
     `mate[u][a]` is the far end of the path ending at the neighbour a (a
@@ -159,8 +173,10 @@ class PartialTrace:
     odd number of traversals at 0 is spare, and when a single edge at 0
     still has spare capacity, just one traversal is left: the closing
     step, which runs from that edge's end c, so every completion ends
-    c, 0.  A prefix that ends at 0 still has to leave it, so popping the
-    step that left 0 unforces c.
+    c, 0.  The push that forces c counts the closing step as the edge's
+    second traversal, which fills it.  A prefix that ends at 0 still has
+    to leave it, so popping the step that left 0 unforces c and uncounts
+    the closing step.
 
     The symmetries, which `prune` advances on every push: an alignment
     is an automorphism with a start s and a direction, whose image of the
@@ -227,7 +243,7 @@ class PartialTrace:
         "_journal",
     )
 
-    def __init__(self, graph: Graph, aut: AutGroup):
+    def __init__(self, graph: Graph, aut: AutGroup, *, transitions: bool = True):
         _require_base_edge(graph)
         e = graph.edge_id(0, 1)
         self.graph = graph
@@ -236,10 +252,17 @@ class PartialTrace:
         self.edge_count[e] = 1
         self.edge_from = [-1] * graph.m
         self.edge_from[e] = 0
-        self.mate: list[dict[int, int]] = [{a: a for a in row} for row in graph.adj]
-        self.span: list[dict[int, int]] = [dict.fromkeys(row, 1) for row in graph.adj]
-        # A leaf 0 is left for the last time at the root.
-        self.closing = 1 if graph.degree(0) == 1 else -1
+        self.mate: list[dict[int, int]] | None = None
+        self.span: list[dict[int, int]] | None = None
+        if transitions:
+            self.mate = [{a: a for a in row} for row in graph.adj]
+            self.span = [dict.fromkeys(row, 1) for row in graph.adj]
+        # A leaf 0 is left for the last time at the root, and the closing
+        # step is the edge's second traversal.
+        self.closing = -1
+        if graph.degree(0) == 1:
+            self.closing = 1
+            self.edge_count[e] = 2
         self._arc_index: list[dict[int, tuple[tuple[int, ...], ...]]] = [
             dict.fromkeys(row, ()) for row in graph.adj
         ]
@@ -292,19 +315,23 @@ class PartialTrace:
         if edge_count[e] == 0:
             self.edge_from[e] = u
         edge_count[e] += 1
-        mate = self.mate[u]
-        ea = mate[seq[-2]]
-        if ea == v:
-            # The pair closes a path into a cycle, which nothing extends.
+        mates = self.mate
+        if mates is None:
             ea = eb = span_a = span_b = -1
         else:
-            eb = mate[v]
-            span = self.span[u]
-            span_a = span[ea]
-            span_b = span[eb]
-            mate[ea] = eb
-            mate[eb] = ea
-            span[ea] = span[eb] = span_a + span_b
+            mate = mates[u]
+            ea = mate[seq[-2]]
+            if ea == v:
+                # The pair closes a path into a cycle, which nothing extends.
+                ea = eb = span_a = span_b = -1
+            else:
+                eb = mate[v]
+                span = self.span[u]
+                span_a = span[ea]
+                span_b = span[eb]
+                mate[ea] = eb
+                mate[eb] = ea
+                span[ea] = span[eb] = span_a + span_b
         self._journal.append(
             (e, ea, eb, span_a, span_b,
              self.forward, self.backward, self.anchored, self.smaller_witness)
@@ -314,15 +341,18 @@ class PartialTrace:
             self._two_arc = self._index_two_arcs(v)
         if u == 0:
             # The end is forced when a single edge at 0 has spare capacity;
-            # the scan stops at the second one.
+            # the scan stops at the second one.  The closing step is then
+            # counted as that edge's second traversal.
             closing = -1
             for c, e0 in self.graph.eid_row[0].items():
                 if edge_count[e0] < 2:
                     if closing >= 0:
                         break
                     closing = c
+                    closing_edge = e0
             else:
                 self.closing = closing
+                edge_count[closing_edge] += 1
         prune(self)
 
     def pop(self) -> None:
@@ -331,11 +361,12 @@ class PartialTrace:
         v = self.seq.pop()
         (e, ea, eb, span_a, span_b, self.forward,
          self.backward, self.anchored, self.smaller_witness) = self._journal.pop()
-        self.edge_count[e] -= 1
-        if self.edge_count[e] == 0:
-            self.edge_from[e] = -1
+        edge_count = self.edge_count
+        edge_count[e] -= 1
         u = self.seq[-1]
-        if u == 0:
+        if u == 0 and self.closing >= 0:
+            # The step left 0 for the last time: uncount the closing step.
+            edge_count[self.graph.eid_row[0][self.closing]] -= 1
             self.closing = -1
         if ea >= 0:
             # The pair joined the paths ending at w_{p-2} and at v.
@@ -406,34 +437,32 @@ def feasible_neighbors(partial: PartialTrace, config: EnumerationConfig) -> list
     """Vertices that may extend the prefix by one step.
 
     Enforces edge capacity and orientation consistency on second
-    traversals.  Once the closing vertex c is forced, the step c -> 0
-    would spend the traversal the walk's end needs, so 0 is not offered;
-    at full length that step is `_accept`'s to decide.  The kind is not
-    checked here; that is `_kind_lookahead_ok`'s job.
+    traversals.  Once the closing vertex c is forced, the closing step
+    c -> 0 is counted in `edge_count`, so the edge c-0 is full and 0 is
+    not offered: stepping there would strand the walk at 0.  At full
+    length that step is `_accept`'s to decide.  The kind is not checked
+    here; that is `_kind_lookahead_ok`'s job.
     """
-    graph = partial.graph
     u = partial.seq[-1]
-    orientation = config.orientation
-    any_dir = orientation == "any"
-    parallel = orientation == "parallel"
+    row = partial.graph.eid_row[u]
     edge_count = partial.edge_count
-    edge_from = partial.edge_from
-    # The edge c-0 has exactly one traversal used while c is forced.
-    reserved = 0 if u == partial.closing else -1
+    orientation = config.orientation
     out = []
-    for v, e in graph.eid_row[u].items():
+    if orientation == "any":
+        # A loop: in CPython 3.11 a comprehension here is slower.
+        for v, e in row.items():
+            if edge_count[e] < 2:
+                out.append(v)
+        return out
+    parallel = orientation == "parallel"
+    edge_from = partial.edge_from
+    for v, e in row.items():
         c = edge_count[e]
         if c == 2:
             continue
-        if c == 1:
-            if v == reserved:
-                continue
-            if not any_dir:
-                if parallel:
-                    if edge_from[e] != u:
-                        continue
-                elif edge_from[e] != v:
-                    continue
+        # A second traversal repeats the first one's direction, or reverses it.
+        if c == 1 and edge_from[e] != (u if parallel else v):
+            continue
         out.append(v)
     return out
 
@@ -570,7 +599,8 @@ def _accept(partial: PartialTrace, config: EnumerationConfig, bound: int) -> boo
     prefix as it stands, without pushing the closing step.  Its edge
     always has capacity: the unused traversals have odd degree only at
     the walk's two ends, so the single one left after 2m - 1 steps joins
-    w_{2m-1} and w_0.
+    w_{2m-1} and w_0, and `edge_count` has counted it since the push
+    that forced w_{2m-1}.
     The search entered the prefix, so it has no witness, and the trace
     is canonical if no image read from the closed walk precedes it.
     `prune` compared every alignment on the prefix, so only two kinds
@@ -580,6 +610,10 @@ def _accept(partial: PartialTrace, config: EnumerationConfig, bound: int) -> boo
     first two), and the two alignments that start on the closing arc
     (w_{2m-1}, 0), forwards at s = 2m - 1 and backwards at s = 0.  Each
     tail is compared element by element up to its first difference.
+    The alignments from the last arc forwards and from the closing arc
+    both ways compare the third element of their image first, which
+    `_two_arc` decides: a witness there rejects the leaf at once, and
+    only the tied ones' tails are walked, from their fourth element.
     """
     seq = partial.seq
     last = seq[-1]
@@ -595,35 +629,53 @@ def _accept(partial: PartialTrace, config: EnumerationConfig, bound: int) -> boo
     ):
         return False
     length = len(seq)
-    arc_index = partial._arc_index
+    if length == 2:
+        # A single edge: every image of 0 1 is 0 1.
+        return True
+    # From the last arc forwards (s = 2m - 2), then from the closing arc
+    # forwards (s = 2m - 1) and backwards (s = 0).
+    two_arc = partial._two_arc
+    before = seq[-2]
+    pending, below = two_arc[before][last][0]
+    if below is not None:
+        return False
+    closing_forward, below = two_arc[last][0][1]
+    if below is not None:
+        return False
+    closing_backward, below = two_arc[0][last][before]
+    if below is not None:
+        return False
     # A forward image from s reads w_0 .. w_{s-1} at positions 2m - s ..
-    # 2m - 1; from the closing arc (s = 2m - 1) its position 1 is a tie.
-    # With one edge the last arc is the base arc, whose alignments are
-    # the stabiliser in `forward`.
-    pending = arc_index[seq[-2]][last] if length > 2 else ()
-    for perm, s in chain(
-        partial.forward,
-        zip(pending, repeat(length - 2)),
-        zip(arc_index[last][0], repeat(length - 1)),
-    ):
-        for x, b in zip(seq, seq[length - s :]):
-            a = perm[x]
-            if a != b:
-                if a < b:
-                    return False
-                break
+    # 2m - 1; a tied one from the last arc goes on from w_1, from the
+    # closing arc from w_2.
+    for perm, s in partial.forward:
+        if _precedes(perm, seq, seq[length - s :]):
+            return False
+    for perm in pending:
+        if _precedes(perm, seq[1:], seq[3:]):
+            return False
+    for perm in closing_forward:
+        if _precedes(perm, seq[2:], seq[3:]):
+            return False
     # A backward image from s reads w_{2m-1} .. w_{s+1} at positions s + 1
-    # .. 2m - 1; from the closing arc (s = 0) its position 1 is a tie.
-    for perm, s in chain(
-        partial.backward, partial.anchored, zip(arc_index[0][last], repeat(0))
-    ):
-        for x, b in zip(reversed(seq), seq[s + 1 :]):
-            a = perm[x]
-            if a != b:
-                if a < b:
-                    return False
-                break
+    # .. 2m - 1; a tied one from the closing arc goes on from w_{2m-3}.
+    for perm, s in chain(partial.backward, partial.anchored):
+        if _precedes(perm, reversed(seq), seq[s + 1 :]):
+            return False
+    for perm in closing_backward:
+        if _precedes(perm, seq[-3::-1], seq[3:]):
+            return False
     return True
+
+
+def _precedes(perm: Sequence[int], xs: Iterable[int], bs: Sequence[int]) -> bool:
+    """Whether perm applied to xs is smaller than bs at their first
+    difference, over the length of the shorter."""
+    for x, b in zip(xs, bs):
+        a = perm[x]
+        if a != b:
+            return a < b
+    return False
 
 
 def _descend(
@@ -652,6 +704,10 @@ def _descend(
     seq = partial.seq
     graph = partial.graph
     bound = _kind_bound(graph, config)
+    if bound and partial.mate is None:
+        raise ValueError(
+            f"the {config.kind} kind lookahead needs a search state with transition paths"
+        )
     leaf = stop == 2 * graph.m
     push = partial.push
     pop = partial.pop
@@ -782,7 +838,8 @@ def _search(
         return []
     if aut is None:
         aut = automorphisms(graph)
-    partial = PartialTrace(graph, aut)
+    # Only the kind lookahead reads the transition paths.
+    partial = PartialTrace(graph, aut, transitions=_kind_bound(graph, config) > 0)
     if jobs > 1:
         return _enumerate_parallel(partial, config, jobs, collect)
     return [collect(_descend(partial, config, 2 * graph.m))]

@@ -50,6 +50,13 @@ def build_partial(graph, seq):
     return pt
 
 
+def read_state(state):
+    """A `snapshot` or `search_state` tuple as the search reads it: its
+    third field, `edge_from`, only where its edge has been used."""
+    seq, edge_count, edge_from, *rest = state
+    return (seq, edge_count, [f if c else -1 for f, c in zip(edge_from, edge_count)], *rest)
+
+
 def accept(pt, config):
     """`_accept` with the kind bound the search passes it."""
     return _accept(pt, config, _kind_bound(pt.graph, config))
@@ -132,16 +139,20 @@ class TestPartialTrace:
         )
 
     def test_pop_restores_everything(self, k4):
-        # Leaving 0 on its third visit forces the closing vertex 3.
+        # Leaving 0 on its third visit forces the closing vertex 3, and
+        # the closing step 3 -> 0 is counted from that push until its pop.
         pt = build_partial(k4, (0, 1, 2, 0, 1, 3, 0))
-        before = self.snapshot(pt)
+        closing_edge = k4.edge_id(0, 3)
+        before = read_state(self.snapshot(pt))
+        assert pt.edge_count[closing_edge] == 1
         pt.push(2)
-        assert pt.closing == 3
+        assert pt.closing == 3 and pt.edge_count[closing_edge] == 2
         pt.push(3)
         pt.pop()
-        assert pt.closing == 3
+        assert pt.closing == 3 and pt.edge_count[closing_edge] == 2
         pt.pop()
-        assert self.snapshot(pt) == before
+        assert pt.edge_count[closing_edge] == 1
+        assert read_state(self.snapshot(pt)) == before
 
     def test_pop_undoes_a_path_join(self, k4):
         # At vertex 1 the prefix 0,1,2,0,3,1 has the path 0-2; stepping
@@ -238,8 +249,10 @@ class TestPartialTrace:
 )
 def test_walk_bookkeeping_matches_its_definition(graph):
     # On every prefix the search enters, `closing` is the one neighbour of
-    # 0 with spare capacity once 0 has had its deg(0) visits and been left,
-    # and an edge has a first direction exactly when it has been used.
+    # 0 with spare capacity once 0 has had its deg(0) visits and been left;
+    # `edge_count` holds the walk's traversals of each edge, plus the
+    # closing step's while it is forced; and `edge_from`, read only where
+    # its edge has been used, holds the first traversal's tail there.
     aut = automorphisms(graph)
     pt = PartialTrace(graph, aut)
     zero_edges = [(c, graph.edge_id(0, c)) for c in graph.adj[0]]
@@ -247,12 +260,21 @@ def test_walk_bookkeeping_matches_its_definition(graph):
         for prefix in extend_feasibly(PartialTrace(graph, aut), EnumerationConfig(), depth):
             pt.move_to(prefix)
             seq = pt.seq
+            used = [0] * graph.m
+            first = [-1] * graph.m
+            for a, b in zip(seq, seq[1:]):
+                e = graph.edge_id(a, b)
+                if not used[e]:
+                    first[e] = a
+                used[e] += 1
             if seq.count(0) == graph.degree(0) and seq[-1] != 0:
-                (expected,) = [c for c, e in zero_edges if pt.edge_count[e] < 2]
+                (expected,) = [c for c, e in zero_edges if used[e] < 2]
+                used[graph.edge_id(0, expected)] += 1
             else:
                 expected = -1
             assert pt.closing == expected, prefix
-            assert [f == -1 for f in pt.edge_from] == [c == 0 for c in pt.edge_count]
+            assert pt.edge_count == used, prefix
+            assert [f for f, c in zip(pt.edge_from, used) if c] == [f for f in first if f >= 0]
 
 
 class TestFeasibleNeighbors:
@@ -582,7 +604,7 @@ class TestReplay:
                 fresh = PartialTrace(graph, aut)
                 for v in prefix[2:]:
                     fresh.push(v)
-                assert search_state(moved) == search_state(fresh), prefix
+                assert read_state(search_state(moved)) == read_state(search_state(fresh)), prefix
 
 
 class TestExtendFeasibly:
@@ -1219,6 +1241,123 @@ def test_accept_early_exit_matches_list_comparison(graph):
             assert verdict == reference_accept_tails(pt), (w, pt.forward, pt.backward, pt.anchored)
             verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def test_search_leaves_match_the_predicates(monkeypatch):
+    # Every full-length prefix the search enters, for every configuration,
+    # gets from `_accept` the verdict of the predicates and `is_canonical`
+    # on the closed walk.  Recorded besides: which of the three groups
+    # `_accept` reads from the 2-arc index (forwards from the last arc,
+    # forwards and backwards from the closing arc) had tied alignments,
+    # whose tails are walked, or a witness, which rejects at once.
+    original = enumerator._accept
+    leaves = []
+
+    def recording(partial, config, bound):
+        verdict = original(partial, config, bound)
+        seq = partial.seq
+        before, last = seq[-2], seq[-1]
+        two_arc = partial._two_arc
+        groups = (two_arc[before][last][0], two_arc[last][0][1], two_arc[0][last][before])
+        leaves.append((tuple(seq), verdict, groups))
+        return verdict
+
+    monkeypatch.setattr(enumerator, "_accept", recording)
+    tied = [0, 0, 0]
+    below = [0, 0, 0]
+    verdicts = set()
+    for graph in LEAF_CHECK_GRAPHS + random_graphs(5, 24):
+        aut = automorphisms(graph)
+        for cfg in ALL_CONFIGS:
+            leaves.clear()
+            enumerate_traces(graph, cfg, aut=aut)
+            for w, verdict, groups in leaves:
+                expected = (
+                    is_double_trace(graph, w)
+                    and satisfies_kind(graph, w, cfg)
+                    and satisfies_orientation(graph, w, cfg)
+                    and is_canonical(graph, w, aut)
+                )
+                assert verdict == expected, (w, cfg.describe())
+                verdicts.add(verdict)
+                for i, (group_tied, group_below) in enumerate(groups):
+                    tied[i] += bool(group_tied)
+                    below[i] += group_below is not None
+    assert verdicts == {True, False}
+    assert min(tied) > 0, tied
+    # A witness from the closing arc forwards was never seen.
+    assert below[0] > 0 and below[2] > 0, below
+
+
+def search_with(graph, cfg, jobs, transitions):
+    """The traces of a search on a state built with or without transition
+    paths, serially or dealt to `jobs` processes."""
+    partial = PartialTrace(graph, automorphisms(graph), transitions=transitions)
+    if jobs == 1:
+        return list(enumerator._descend(partial, cfg, 2 * graph.m))
+    parts = enumerator._enumerate_parallel(partial, cfg, jobs, list)
+    return [w for part in parts for w in part]
+
+
+KIND_ANY_GRAPHS = {
+    **{f"random3-{i}": g for i, g in enumerate(random_graphs(3, 6))},
+    **PENDANT_START_GRAPHS,
+}
+
+
+@pytest.mark.parametrize("graph", KIND_ANY_GRAPHS.values(), ids=KIND_ANY_GRAPHS.keys())
+def test_kind_any_search_needs_no_transition_paths(graph):
+    for cfg in ALL_CONFIGS:
+        if cfg.kind != "any":
+            continue
+        for jobs in (1, 2):
+            kept = search_with(graph, cfg, jobs, True)
+            assert search_with(graph, cfg, jobs, False) == kept, (cfg.describe(), jobs)
+
+
+@pytest.mark.parametrize(
+    "name,k,cfg",
+    [
+        ("pyramid", 5, EnumerationConfig()),
+        ("bipyramid", 3, EnumerationConfig()),
+        ("pyramid", 6, EnumerationConfig(kind="stable", d=2)),
+        ("bipyramid", 3, EnumerationConfig(kind="stable", d=1)),
+    ],
+    ids=["pyramid5-any", "bipyramid3-any", "pyramid6-stable2", "bipyramid3-stable1"],
+)
+def test_search_keeps_transition_paths_only_under_a_kind_bound(monkeypatch, name, k, cfg):
+    # The rows the CLI benchmark runs: the search state is built without
+    # transition paths for kind any, and the traces are those of a search
+    # that keeps them.
+    graph = named_graph(name, k)
+    built = []
+    original = enumerator.PartialTrace
+
+    def recording(*args, **kwargs):
+        partial = original(*args, **kwargs)
+        built.append(partial.mate is not None)
+        return partial
+
+    monkeypatch.setattr(enumerator, "PartialTrace", recording)
+    for jobs in (1, 2):
+        built.clear()
+        traces = enumerate_traces(graph, cfg, jobs=jobs)
+        assert built == [cfg.kind != "any"]
+        assert traces == search_with(graph, cfg, jobs, True), jobs
+
+
+def test_kind_bound_needs_transition_paths(k4):
+    aut = automorphisms(k4)
+    pt = PartialTrace(k4, aut, transitions=False)
+    assert pt.mate is None and pt.span is None
+    for cfg in (EnumerationConfig(kind="strong"), EnumerationConfig(kind="stable", d=1)):
+        with pytest.raises(ValueError, match="transition paths"):
+            next(enumerator._descend(pt, cfg, 2 * k4.m))
+        with pytest.raises(ValueError, match="transition paths"):
+            extend_feasibly(pt, cfg, 4)
+        assert pt.seq == [0, 1]
+    cfg = EnumerationConfig()
+    assert extend_feasibly(pt, cfg, 6) == extend_feasibly(PartialTrace(k4, aut), cfg, 6)
 
 
 # Rows of the `tables` reference set that have no trace by a parity
