@@ -45,9 +45,10 @@ time, the one traversal left at 0 is the closing step, so w_{2m-1} is
 the neighbour c of 0 whose edge still has capacity
 (`PartialTrace.closing`).  The push that forces c counts the closing
 step in the edge counts, so from then on `feasible_neighbors` no longer
-offers the step c -> 0, which would strand the walk at 0, and `prune`
-compares each tied backward alignment's next image element, perm[c],
-with w_{s+1}.
+offers the step c -> 0, which would strand the walk at 0.  On that push
+`prune` compares each tied backward alignment's next image element,
+perm[c], with w_{s+1}; those that start later tie there (see
+`PartialTrace`), so it is compared once.
 
 A prefix of full length 2m is a leaf.  Closing it is one more step,
 from w_{2m-1} back to w_0 = 0, and `_accept` checks only what that
@@ -75,15 +76,16 @@ One loop, `_descend`, runs the search, in place on a single
 `PartialTrace`: the one search state, holding the prefix and the
 symmetries tied with it.  `push` extends both and `pop` restores both
 from one undo journal, as in backtracking with dancing links (Knuth,
-TAOCP 7.2.2.1).  The parallel path (`jobs > 1`) uses it twice: first
-with a stop depth, through `extend_feasibly`, to list the prefixes the
-search enters at the shallowest depth with at least `FRONTIER_PER_JOB`
-prefixes per process; then in each of `jobs` processes, the caller
-included, which take the next prefix from a shared counter until none
-is left, move their one search state to it (`PartialTrace.move_to`) and
-search below it to full length.  So the split is dealt on demand and
-differs from run to run, but each prefix's traces are put back in
-frontier order, and the output is identical to the serial search's.
+TAOCP 7.2.2.1).  The parallel path (`jobs > 1`) uses it with a stop
+depth: first through `extend_feasibly`, to find the shallowest depth
+whose frontier, the prefixes the search enters there, has at least
+`FRONTIER_PER_JOB` prefixes per process; then in each of `jobs`
+processes, the caller included, each of which walks that frontier with
+its one search state and, below each prefix whose index it takes from
+a shared counter, searches to full length.  So the split is dealt on
+demand and differs from run to run, but each prefix's traces are put
+back in frontier order, and the output is identical to the serial
+search's.
 
 The search holds no trace: `_descend` yields each accepted walk, and
 its caller keeps what it needs of them.  `enumerate_traces` keeps the
@@ -106,7 +108,7 @@ from collections import Counter
 from itertools import chain, combinations
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .automorphism import AutGroup, SymmetryElement, automorphisms
+from .automorphism import AutGroup, SymmetryElement, automorphisms, is_automorphism
 from .graph import Graph, SizeGuardError, components
 from .traces import EnumerationConfig
 
@@ -194,10 +196,10 @@ class PartialTrace:
     == w_2, and the first with perm[z] < w_2 (None if there is none),
     in `_arc_index` order; the tied ones are only those ahead of the
     first smaller one, since no alignment after a witness is compared.
-    It is built when w_2 is pushed and kept in `_two_arcs` for each
-    value of w_2; arcs with no automorphism share one row per b, so
-    each takes O(m + |Aut| Delta) memory, Delta the maximum degree.
-    Three sets stay tied with the prefix:
+    It is built whenever w_2 is pushed, which a search does once per
+    value, and arcs with no automorphism share one row per b, so it
+    takes O(m + |Aut| Delta) memory, Delta the maximum degree.
+    Two lists hold the alignments tied with the prefix:
 
     * `forward`, the (perm, s) pairs for forward alignments whose image
       matches the prefix so far, which `canonical_extension` also reads
@@ -209,17 +211,21 @@ class PartialTrace:
       definition and are not in the list: they are pending, read from
       `_arc_index` and, from the next step on, from `_two_arc`;
     * `backward`, the (perm, s) pairs for backward alignments whose image
-      matched all of w_s, ..., w_0; the rest of that image reads the
-      walk's end, w_{2m-1} first;
-    * `anchored`, the backward alignments whose image also matched its
-      next element, perm[w_{2m-1}] against w_{s+1}, once the closing
-      vertex w_{2m-1} was forced.  The rest waits for the leaf.
+      matched all of w_s, ..., w_0, and, once the closing vertex c =
+      w_{2m-1} is forced, its next element, perm[c] against w_{s+1}.
+      The rest of the image waits for the leaf.  `prune` compares
+      perm[c] only on the push that forces c: a backward alignment that
+      starts on it or later ties there.  Its image matches w_s, ...,
+      w_0, so it maps the prefix up to w_s, reversed, onto itself, with
+      perm[0] = w_s, and edge use there is perm-invariant.  At 0 one edge
+      has a traversal left, the one to c, so at w_s one edge has, the
+      one to perm[c], and the walk goes on to w_{s+1} = perm[c].
 
     `smaller_witness` is an alignment whose image is strictly smaller:
     no completion of the prefix is canonical, nothing more is tracked,
     and every descendant inherits it.
 
-    `prune` replaces these four fields and never changes a list in them,
+    `prune` replaces these three fields and never changes a list in them,
     so the journal entry of a push keeps their previous values by
     reference, next to the walk bookkeeping it changed, and `pop`
     restores the prefix and its symmetries together.
@@ -235,11 +241,9 @@ class PartialTrace:
         "closing",
         "forward",
         "backward",
-        "anchored",
         "smaller_witness",
         "_arc_index",
         "_two_arc",
-        "_two_arcs",
         "_journal",
     )
 
@@ -271,17 +275,12 @@ class PartialTrace:
         identity = tuple(range(aut.n))
         self.forward = [(p, 0) for p in self._arc_index[0][1] if p != identity]
         self.backward = [(p, 1) for p in self._arc_index[1][0]]
-        self.anchored: list[tuple[tuple[int, ...], int]] = []
         self.smaller_witness: SymmetryElement | None = None
         self._two_arc: list[dict[int, dict[int, tuple]]] = []
-        self._two_arcs: dict[int, list[dict[int, dict[int, tuple]]]] = {}
         self._journal: list[tuple] = []
 
     def _index_two_arcs(self, w2: int) -> list[dict[int, dict[int, tuple]]]:
         """`_two_arc` for the prefixes whose third vertex is w2."""
-        index = self._two_arcs.get(w2)
-        if index is not None:
-            return index
         adj = self.graph.adj
         empty = [dict.fromkeys(row, ((), None)) for row in adj]
         index = []
@@ -303,7 +302,6 @@ class PartialTrace:
                             tied.append(p)
                     by_next[z] = (tuple(tied), below)
             index.append(cells)
-        self._two_arcs[w2] = index
         return index
 
     def push(self, v: int) -> None:
@@ -334,7 +332,7 @@ class PartialTrace:
                 span[ea] = span[eb] = span_a + span_b
         self._journal.append(
             (e, ea, eb, span_a, span_b,
-             self.forward, self.backward, self.anchored, self.smaller_witness)
+             self.forward, self.backward, self.smaller_witness)
         )
         seq.append(v)
         if len(seq) == 3:
@@ -359,8 +357,8 @@ class PartialTrace:
         """Undo the most recent push, the symmetries that its `prune`
         replaced included (not valid below the base prefix)."""
         v = self.seq.pop()
-        (e, ea, eb, span_a, span_b, self.forward,
-         self.backward, self.anchored, self.smaller_witness) = self._journal.pop()
+        (e, ea, eb, span_a, span_b,
+         self.forward, self.backward, self.smaller_witness) = self._journal.pop()
         edge_count = self.edge_count
         edge_count[e] -= 1
         u = self.seq[-1]
@@ -376,21 +374,6 @@ class PartialTrace:
             span = self.span[u]
             span[ea] = span_a
             span[eb] = span_b
-
-    def move_to(self, prefix: Sequence[int]) -> None:
-        """Pop back to the longest prefix shared with `prefix` and push the
-        rest of it.  `prefix` starts 0 1, and no push may meet a witness:
-        a prefix the search entered has none."""
-        seq = self.seq
-        common = 2
-        while common < len(seq) and common < len(prefix) and seq[common] == prefix[common]:
-            common += 1
-        while len(seq) > common:
-            self.pop()
-        for v in prefix[common:]:
-            self.push(v)
-            if self.smaller_witness is not None:
-                raise AssertionError("replayed prefix was pruned")
 
     def __len__(self) -> int:
         return len(self.seq)
@@ -500,17 +483,16 @@ def prune(partial: PartialTrace) -> PartialTrace:
     w_{p-1-s}, the prefix stabiliser at start 0 first, and then those
     pending on the arc (w_{p-3}, u), against w_2, read from the 2-arc
     index (the search has made these in `canonical_extension` before the
-    push); once the closing vertex c is forced, each backward alignment
-    tied on w_s, ..., w_0 that has not read it yet by perm[c] against
-    w_{s+1} (all of them at the step that forces c, afterwards those tied
-    one step earlier); and the backward alignments that start at v on the
-    arc (v, u), whose image window w_{p-1}, ..., w_0 is now complete,
-    on perm[w_{p-3}] against w_2 by the index, then on the rest.  The
-    forward alignments that start on the arc (u, v) tie on it and stay
-    pending.  A larger image drops its alignment, a tie keeps it, and the
-    first smaller one is recorded as `smaller_witness`, after which
-    nothing is tracked: a push below a witness only passes it on.
-    Returns `partial`.
+    push); if the push leaves u = 0 and forces the closing vertex c,
+    each tied backward alignment by perm[c] against w_{s+1} (those that
+    start later tie there, see `PartialTrace`); and the backward
+    alignments that start at v on the arc (v, u), whose image window
+    w_{p-1}, ..., w_0 is now complete, on perm[w_{p-3}] against w_2 by
+    the index, then on the rest.  The forward alignments that start on
+    the arc (u, v) tie on it and stay pending.  A larger image drops its
+    alignment, a tie keeps it, and the first smaller one is recorded as
+    `smaller_witness`, after which nothing is tracked: a push below a
+    witness only passes it on.  Returns `partial`.
     """
     if partial.smaller_witness is not None:
         return partial
@@ -539,14 +521,14 @@ def prune(partial: PartialTrace) -> PartialTrace:
         else:
             for perm in tied:
                 forward.append((perm, p - 3))
-    open_backward = partial.backward
-    anchored = partial.anchored
+    backward = partial.backward
     closing = partial.closing
-    if witness is None and closing >= 0 and open_backward:
-        # Every completion ends w_{2m-1} = closing, so a backward image
-        # from s reads perm[closing] right after w_0, against w_{s+1}.
+    if witness is None and u == 0 and closing >= 0 and backward:
+        # This push forced the end: every completion ends w_{2m-1} =
+        # closing, so a backward image from s reads perm[closing] right
+        # after w_0, against w_{s+1}.
         tied = []
-        for alignment in open_backward:
+        for alignment in backward:
             perm, s = alignment
             a = perm[closing]
             b = seq[s + 1]
@@ -556,10 +538,8 @@ def prune(partial: PartialTrace) -> PartialTrace:
                 length = 2 * partial.graph.m
                 witness = SymmetryElement(perm, (length - s) % length, True)
                 break
-        open_backward = []
-        if tied:
-            anchored = anchored + tied
-    backward = []
+        backward = tied
+    started = []
     if witness is None:
         # The image from v reads 0, 1, perm[w_{p-3}], ...: the index
         # decides perm[w_{p-3}] against w_2, and the tied ones go on.
@@ -571,7 +551,7 @@ def prune(partial: PartialTrace) -> PartialTrace:
                 if a != b:
                     break
             else:
-                backward.append((perm, p - 1))
+                started.append((perm, p - 1))
                 continue
             if a < b:
                 below = perm
@@ -580,12 +560,11 @@ def prune(partial: PartialTrace) -> PartialTrace:
             length = 2 * partial.graph.m
             witness = SymmetryElement(below, (length - p + 1) % length, True)
     if witness is not None:
-        partial.forward = partial.backward = partial.anchored = []
+        partial.forward = partial.backward = []
         partial.smaller_witness = witness
         return partial
     partial.forward = forward
-    partial.backward = open_backward + backward if backward else open_backward
-    partial.anchored = anchored
+    partial.backward = backward + started if started else backward
     return partial
 
 
@@ -604,10 +583,10 @@ def _accept(partial: PartialTrace, config: EnumerationConfig, bound: int) -> boo
     The search entered the prefix, so it has no witness, and the trace
     is canonical if no image read from the closed walk precedes it.
     `prune` compared every alignment on the prefix, so only two kinds
-    remain: the wrapped tails of the alignments still tied (an anchored
-    backward one has already matched the first element of its tail, and
-    the forward ones pending on the last arc, at s = 2m - 2, only its
-    first two), and the two alignments that start on the closing arc
+    remain: the wrapped tails of the alignments still tied (each backward
+    one read from the first element of its tail, perm[w_{2m-1}], and the
+    forward ones pending on the last arc, at s = 2m - 2, matched on only
+    their first two), and the two alignments that start on the closing arc
     (w_{2m-1}, 0), forwards at s = 2m - 1 and backwards at s = 0.  Each
     tail is compared element by element up to its first difference.
     The alignments from the last arc forwards and from the closing arc
@@ -659,7 +638,7 @@ def _accept(partial: PartialTrace, config: EnumerationConfig, bound: int) -> boo
             return False
     # A backward image from s reads w_{2m-1} .. w_{s+1} at positions s + 1
     # .. 2m - 1; a tied one from the closing arc goes on from w_{2m-3}.
-    for perm, s in chain(partial.backward, partial.anchored):
+    for perm, s in partial.backward:
         if _precedes(perm, reversed(seq), seq[s + 1 :]):
             return False
     for perm in closing_backward:
@@ -785,32 +764,40 @@ def extend_feasibly(
 def _search_dealt(
     partial: PartialTrace,
     config: EnumerationConfig,
-    prefixes: list[tuple[int, ...]],
+    depth: int,
     counter,
     collect: Callable[[Iterator[tuple[int, ...]]], _Part],
 ) -> list[tuple[int, _Part]]:
     """Search below the frontier prefixes dealt to this process.
 
-    Takes the next prefix index from the shared `counter` until none is
-    left, moves `partial` to that prefix and searches it to full length.
-    Returns (index, part) for each prefix taken, the part being what
-    `collect` makes of the traces below it.
+    Walks the frontier of length `depth` under `partial`, and below each
+    prefix whose index it took from the shared `counter` searches to full
+    length, then takes the next index.  Every process walks the same
+    frontier in the same order and the counter only grows, so each index
+    is searched once.  Returns (index, part) for each prefix searched,
+    the part being what `collect` makes of the traces below it.
     """
-    parts = []
-    while True:
+
+    def take() -> int:
         with counter.get_lock():
             index = counter.value
             counter.value = index + 1
-        if index >= len(prefixes):
-            return parts
-        partial.move_to(prefixes[index])
-        parts.append((index, collect(_descend(partial, config, 2 * partial.graph.m))))
+        return index
+
+    length = 2 * partial.graph.m
+    parts = []
+    index = take()
+    for position, _ in enumerate(_descend(partial, config, depth)):
+        if position == index:
+            parts.append((index, collect(_descend(partial, config, length))))
+            index = take()
+    return parts
 
 
-def _search_child(partial, config, prefixes, counter, collect, conn) -> None:
+def _search_child(partial, config, depth, counter, collect, conn) -> None:
     """A worker process: its share of the frontier, sent back whole once
     the counter runs out, so that it never waits on the caller mid-search."""
-    conn.send(_search_dealt(partial, config, prefixes, counter, collect))
+    conn.send(_search_dealt(partial, config, depth, counter, collect))
     conn.close()
 
 
@@ -827,13 +814,18 @@ def _search(
     Returns what `collect` makes of the traces of each searched subtree,
     in search order: one part serially, one per frontier prefix in
     parallel, and none where `no_trace_reason` rules out every trace,
-    which it decides before the automorphism group is computed.
+    which it decides before the automorphism group is computed.  A
+    passed `aut` must hold automorphisms of `graph` only.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if config is None:
         config = EnumerationConfig()
     _require_base_edge(graph)
+    if aut is not None and (
+        aut.n != graph.n or not all(is_automorphism(graph, p) for p in aut.elements)
+    ):
+        raise ValueError("aut holds a permutation that is not an automorphism of the graph")
     if no_trace_reason(graph, config) is not None:
         return []
     if aut is None:
@@ -861,7 +853,8 @@ def enumerate_traces(
     dealt out to that many processes, the caller included; the result is
     the same.  `jobs` below 1 is a `ValueError`.
     `aut` may pass in the graph's automorphism group if it is already
-    known.  A configuration that `no_trace_reason` rules out returns []
+    known; one holding a permutation that is not an automorphism of
+    `graph` is a `ValueError`.  A configuration that `no_trace_reason` rules out returns []
     without a search.
     """
     parts = _search(graph, config, jobs, aut, list)
@@ -891,45 +884,45 @@ def _enumerate_parallel(
 ) -> list[_Part]:
     """Split the search at the shallowest frontier wide enough for `jobs`.
 
-    `jobs - 1` child processes and the caller take frontier prefixes on
-    demand from one shared counter, so a heavy subtree holds up only the
-    process searching it.  Each process moves one search state from
-    prefix to prefix and sends back what `collect` makes of each
-    prefix's traces.  The frontier's prefixes have equal length and come
-    in lexicographic order, and each subtree's traces come sorted, so
-    the parts are returned in frontier order, and concatenating lists of
-    traces gives the sorted output.
+    `jobs - 1` child processes and the caller each walk the frontier and
+    take its prefixes on demand from one shared counter, so a heavy
+    subtree holds up only the process searching it.  Each process sends
+    back what `collect` makes of each prefix's traces.  The frontier's
+    prefixes have equal length and come in lexicographic order, and each
+    subtree's traces come sorted, so the parts are returned in frontier
+    order, and concatenating lists of traces gives the sorted output.
 
     A frontier of at most one prefix, or one that stays narrower down to
     the last step before full length (at most one leaf below each
-    prefix), has nothing worth a process: the caller searches it alone.
-    A child that fails makes this raise `RuntimeError`; no child outlives
-    the call.
+    prefix), has nothing worth a process: the caller searches alone, and
+    the one part is the serial search's.  A child that fails makes this
+    raise `RuntimeError`; no child outlives the call.
     """
     import multiprocessing
 
     length = 2 * partial.graph.m
-    prefixes = [tuple(partial.seq)]
+    width = 1
     depth = len(partial)
-    while 0 < len(prefixes) < FRONTIER_PER_JOB * jobs and depth + 1 < length:
+    while 0 < width < FRONTIER_PER_JOB * jobs and depth + 1 < length:
         depth += 1
-        prefixes = extend_feasibly(partial, config, depth)
-    split = len(prefixes) > 1 and depth + 1 < length
+        width = len(extend_feasibly(partial, config, depth))
+    if width < 2 or depth + 1 >= length:
+        return [collect(_descend(partial, config, length))]
     counter = multiprocessing.Value("i", 0)
-    parts: list = [None] * len(prefixes)
+    parts: list = [None] * width
     children = []
     try:
-        for _ in range(jobs - 1 if split else 0):
+        for _ in range(jobs - 1):
             receiver, sender = multiprocessing.Pipe(duplex=False)
             child = multiprocessing.Process(
                 target=_search_child,
-                args=(partial, config, prefixes, counter, collect, sender),
+                args=(partial, config, depth, counter, collect, sender),
                 daemon=True,
             )
             child.start()
             sender.close()
             children.append((child, receiver))
-        for index, part in _search_dealt(partial, config, prefixes, counter, collect):
+        for index, part in _search_dealt(partial, config, depth, counter, collect):
             parts[index] = part
         for child, receiver in children:
             try:

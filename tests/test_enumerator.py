@@ -51,8 +51,8 @@ def build_partial(graph, seq):
 
 
 def read_state(state):
-    """A `snapshot` or `search_state` tuple as the search reads it: its
-    third field, `edge_from`, only where its edge has been used."""
+    """A `snapshot` tuple as the search reads it: its third field,
+    `edge_from`, only where its edge has been used."""
     seq, edge_count, edge_from, *rest = state
     return (seq, edge_count, [f if c else -1 for f, c in zip(edge_from, edge_count)], *rest)
 
@@ -134,7 +134,6 @@ class TestPartialTrace:
             pt.closing,
             list(pt.forward),
             list(pt.backward),
-            list(pt.anchored),
             pt.smaller_witness,
         )
 
@@ -186,33 +185,34 @@ class TestPartialTrace:
         assert self.snapshot(pt) == before
 
     @pytest.mark.parametrize(
-        "fixture,prefix,tail,anchored",
+        "fixture,prefix,tail,closing",
         [
-            ("triangle", (0, 1, 2, 0), (2, 1), False),
-            ("k4", (0, 1, 2, 0, 3, 1, 2, 0), (3, 1), False),
-            ("k4", (0, 1, 0, 2, 1, 3, 0, 3, 2), (3, 1), True),
+            ("triangle", (0, 1, 2, 0), (2, 1), -1),
+            ("k4", (0, 1, 2, 0, 3, 1, 2, 0), (3, 1), -1),
+            ("k4", (0, 1, 0, 2, 1, 3, 0, 3, 2), (3, 1), 2),
         ],
         ids=["triangle-reversal", "k4-end-anchored", "k4-after-anchoring"],
     )
     def test_pop_restores_the_symmetries_past_a_witness(
-        self, request, fixture, prefix, tail, anchored
+        self, request, fixture, prefix, tail, closing
     ):
         # The first push of `tail` finds a witness (the triangle's forward
         # one on 0,1,2,0,2, pending on the arc (2, 0) before the push; K4's
-        # end-anchored one when 0,1,2,0,3,1,2,0,3 forces the closing
-        # vertex 1; a backward one on 0,1,0,2,1,3,0,3,2,3, after every
-        # open backward alignment was anchored), the second inherits it.
-        # Each prefix holds a tied forward alignment besides the pending
+        # backward one on perm[1] when 0,1,2,0,3,1,2,0,3 forces the closing
+        # vertex 1; a backward one on 0,1,0,2,1,3,0,3,2,3, after the push
+        # that forced the closing vertex 2 kept the backward alignments
+        # tied on perm[2]), the second inherits it.  Each prefix holds a
+        # tied forward and a tied backward alignment besides the pending
         # ones.  Popping both brings back the tied alignments.
         pt = build_partial(request.getfixturevalue(fixture), prefix)
         before = self.snapshot(pt)
-        assert before[-1] is None and before[-4]
-        assert bool(before[-3]) is not anchored and bool(before[-2]) is anchored
+        assert before[-1] is None and before[-3] and before[-2]
+        assert pt.closing == closing
         snapshots = []
         for v in tail:
             pt.push(v)
             assert pt.smaller_witness is not None
-            assert pt.forward == pt.backward == pt.anchored == []
+            assert pt.forward == pt.backward == []
             snapshots.append(self.snapshot(pt))
         assert snapshots[0][-1] == snapshots[1][-1]
         pt.pop()
@@ -252,13 +252,12 @@ def test_walk_bookkeeping_matches_its_definition(graph):
     # 0 with spare capacity once 0 has had its deg(0) visits and been left;
     # `edge_count` holds the walk's traversals of each edge, plus the
     # closing step's while it is forced; and `edge_from`, read only where
-    # its edge has been used, holds the first traversal's tail there.
-    aut = automorphisms(graph)
-    pt = PartialTrace(graph, aut)
+    # its edge has been used, holds the first traversal's tail there.  The
+    # state is read where the search holds it, at each prefix of a frontier.
+    pt = PartialTrace(graph, automorphisms(graph))
     zero_edges = [(c, graph.edge_id(0, c)) for c in graph.adj[0]]
     for depth in range(3, 2 * graph.m):
-        for prefix in extend_feasibly(PartialTrace(graph, aut), EnumerationConfig(), depth):
-            pt.move_to(prefix)
+        for prefix in enumerator._descend(pt, EnumerationConfig(), depth):
             seq = pt.seq
             used = [0] * graph.m
             first = [-1] * graph.m
@@ -560,53 +559,6 @@ class TestRetainedSymmetries:
         assert pt.seq == [0, 1, 2, 0, 1, 3]
 
 
-def search_state(pt):
-    """Everything a search reads off a `PartialTrace`, as plain values."""
-    return (
-        list(pt.seq),
-        list(pt.edge_count),
-        list(pt.edge_from),
-        [dict(row) for row in pt.mate],
-        [dict(row) for row in pt.span],
-        pt.closing,
-        list(pt.forward),
-        list(pt.backward),
-        list(pt.anchored),
-        pt.smaller_witness,
-    )
-
-
-class TestReplay:
-    def test_witnessed_prefix_is_refused(self, triangle):
-        # 0,1,2,1 has a witness, so no frontier holds it.
-        pt = PartialTrace(triangle, automorphisms(triangle))
-        with pytest.raises(AssertionError, match="replayed prefix was pruned"):
-            pt.move_to((0, 1, 2, 1))
-
-    @pytest.mark.parametrize(
-        "name,k,cfg",
-        [
-            ("tetrahedron", None, EnumerationConfig(kind="strong")),
-            ("prism", 3, EnumerationConfig()),
-        ],
-        ids=["k4-strong", "prism3-any"],
-    )
-    def test_moving_matches_a_fresh_replay(self, name, k, cfg):
-        # One state moved across every frontier, shallowest first, as the
-        # parallel driver moves it across one frontier.
-        graph = named_graph(name, k)
-        aut = automorphisms(graph)
-        moved = PartialTrace(graph, aut)
-        for depth in range(3, 2 * graph.m):
-            frontier = extend_feasibly(PartialTrace(graph, aut), cfg, depth)
-            for prefix in frontier:
-                moved.move_to(prefix)
-                fresh = PartialTrace(graph, aut)
-                for v in prefix[2:]:
-                    fresh.push(v)
-                assert read_state(search_state(moved)) == read_state(search_state(fresh)), prefix
-
-
 class TestExtendFeasibly:
     def test_frontier_in_search_order(self, k4):
         cfg = EnumerationConfig(kind="strong")
@@ -859,6 +811,23 @@ class TestEnumerateTraces:
         aut = automorphisms(k4)
         assert enumerate_traces(k4, aut=aut) == enumerate_traces(k4)
 
+    @pytest.mark.parametrize(
+        "graph,other",
+        [
+            (named_graph("tetrahedron"), named_graph("prism", 3)),
+            (named_graph("cube"), named_graph("octahedron")),
+            (named_graph("prism", 3), named_graph("octahedron")),
+        ],
+        ids=["k4-prism3", "cube-octahedron", "prism3-octahedron"],
+    )
+    def test_aut_of_another_graph_rejected(self, graph, other):
+        # The first two differ in their number of vertices; the octahedron
+        # has as many as prism:3, but its symmetries are not prism:3's.
+        aut = automorphisms(other)
+        for search in (enumerate_traces, count_traces):
+            with pytest.raises(ValueError, match="not an automorphism"):
+                search(graph, EnumerationConfig(kind="strong"), aut=aut)
+
     def test_path_longer_than_the_recursion_limit(self):
         # Neither the automorphism backtracking nor the search recurses
         # once per vertex or per step.
@@ -1063,16 +1032,19 @@ def test_canonical_extension_drops_exactly_the_forward_witnesses():
 class ReferenceAlignments:
     """The alignments tied with a prefix, advanced push by push with no
     index: every tied forward alignment, those that start on the last arc
-    included, is compared on every step, and every backward alignment
-    that starts on the new arc from its third element on.  Each state is
-    (forward, backward, anchored, witness)."""
+    included, is compared on every step, every backward alignment that
+    starts on the new arc from its third element on, and, once the
+    closing vertex c is forced, every tied backward alignment from s on
+    perm[c] against w_{s+1} wherever that is pushed, also on the steps
+    after the one that forced c.  Each state is (forward, backward,
+    witness)."""
 
     def __init__(self, graph, aut):
         self.elements = aut.elements
         self.length = 2 * graph.m
         identity = tuple(range(graph.n))
         forward = [(perm, 0) for perm in self.arc(0, 1) if perm != identity]
-        self.states = [(forward, [(perm, 1) for perm in self.arc(1, 0)], [], None)]
+        self.states = [(forward, [(perm, 1) for perm in self.arc(1, 0)], None)]
 
     def arc(self, a, b):
         return [perm for perm in self.elements if perm[a] == 0 and perm[b] == 1]
@@ -1089,7 +1061,7 @@ class ReferenceAlignments:
     def push(self, seq, closing):
         """The state after `seq`'s last push; `closing` as `PartialTrace`
         has it after that push."""
-        forward, backward, anchored, witness = self.states[-1]
+        forward, backward, witness = self.states[-1]
         if witness is not None:
             self.states.append(self.states[-1])
             return
@@ -1098,7 +1070,7 @@ class ReferenceAlignments:
         length = self.length
 
         def found(element):
-            self.states.append(([], [], [], element))
+            self.states.append(([], [], element))
 
         tied = []
         for perm, s in forward:
@@ -1107,14 +1079,15 @@ class ReferenceAlignments:
                 return found(SymmetryElement(perm, s, False))
             if a == b:
                 tied.append((perm, s))
-        if closing >= 0 and backward:
+        if closing >= 0:
+            kept = []
             for perm, s in backward:
                 a, b = perm[closing], seq[s + 1]
                 if a < b:
                     return found(SymmetryElement(perm, (length - s) % length, True))
                 if a == b:
-                    anchored = anchored + [(perm, s)]
-            backward = []
+                    kept.append((perm, s))
+            backward = kept
         new_backward = []
         for perm in self.arc(v, u):
             image = [perm[x] for x in reversed(seq)]
@@ -1123,7 +1096,7 @@ class ReferenceAlignments:
             if image == seq:
                 new_backward.append((perm, p - 1))
         tied += [(perm, p - 2) for perm in self.arc(u, v)]
-        self.states.append((tied, backward + new_backward, anchored, None))
+        self.states.append((tied, backward + new_backward, None))
 
     def pop(self):
         self.states.pop()
@@ -1160,12 +1133,12 @@ def test_two_arc_index_matches_reference(graph):
     seen = {"prefixes": 0, "witnesses": 0, "pending": 0}
 
     def check():
-        forward, backward, anchored, witness = ref.states[-1]
+        forward, backward, witness = ref.states[-1]
         assert pt.smaller_witness == witness, seq
         pending = [(perm, len(seq) - 2) for perm in pt._arc_index[seq[-2]][seq[-1]]]
         if witness is None:
             assert pt.forward + pending == forward, seq
-            assert pt.backward == backward and pt.anchored == anchored, seq
+            assert pt.backward == backward, seq
             seen["pending"] += bool(pending)
         seen["witnesses"] += witness is not None
         seen["prefixes"] += 1
@@ -1203,7 +1176,7 @@ def reference_accept_tails(pt):
     for perm, s in forward:
         if [perm[x] for x in seq[:s]] < seq[length - s :]:
             return False
-    for perm, s in pt.backward + pt.anchored + [(perm, 0) for perm in pt._arc_index[0][last]]:
+    for perm, s in pt.backward + [(perm, 0) for perm in pt._arc_index[0][last]]:
         tail = seq[s + 1 :]
         if [perm[x] for x in tail[::-1]] < tail:
             return False
@@ -1223,7 +1196,8 @@ def test_accept_early_exit_matches_list_comparison(graph):
     verdicts = set()
     for w in rng.sample(leaves, min(len(leaves), 20)):
         pt = PartialTrace(graph, aut)
-        pt.move_to(w)
+        for v in w[2:]:
+            pt.push(v)
         for _ in range(30):
             def alignments(low):
                 return [
@@ -1236,9 +1210,9 @@ def test_accept_early_exit_matches_list_comparison(graph):
                     for _ in range(rng.randint(0, 3))
                 ]
 
-            pt.forward, pt.backward, pt.anchored = alignments(1), alignments(0), alignments(0)
+            pt.forward, pt.backward = alignments(1), alignments(0)
             verdict = accept(pt, cfg)
-            assert verdict == reference_accept_tails(pt), (w, pt.forward, pt.backward, pt.anchored)
+            assert verdict == reference_accept_tails(pt), (w, pt.forward, pt.backward)
             verdicts.add(verdict)
     assert verdicts == {True, False}
 
@@ -1287,6 +1261,45 @@ def test_search_leaves_match_the_predicates(monkeypatch):
     assert min(tied) > 0, tied
     # A witness from the closing arc forwards was never seen.
     assert below[0] > 0 and below[2] > 0, below
+
+
+def test_backward_alignments_started_after_the_end_is_forced_tie_on_it(monkeypatch):
+    # `prune` compares the backward alignments with the closing vertex c
+    # only on the push that forces c.  One that starts later, at s, maps
+    # the prefix, reversed, onto itself with perm[0] = w_s, so edge use is
+    # perm-invariant: as 0 has one edge with a traversal left, the one to
+    # c, w_s has one too, the one to perm[c], and w_{s+1} = perm[c].
+    # Checked on every prefix the search enters, in every configuration.
+    original = enumerator.prune
+    checked = 0
+
+    def checking(partial):
+        nonlocal checked
+        original(partial)
+        seq = partial.seq
+        closing = partial.closing
+        if closing >= 0 and partial.smaller_witness is None:
+            # 0 is not visited after the push that forces c, or c is
+            # forced at the root, where 0 is a leaf.
+            forced_at = max(i for i, x in enumerate(seq) if x == 0) + 1
+            for perm, s in partial.backward:
+                if s >= forced_at and s + 1 < len(seq):
+                    assert perm[closing] == seq[s + 1], (seq, perm, s)
+                    checked += 1
+        return partial
+
+    monkeypatch.setattr(enumerator, "prune", checking)
+    graphs = (
+        LEAF_CHECK_GRAPHS[:3]
+        + random_graphs(3, 6)
+        + random_graphs(5, 24)
+        + list(PENDANT_START_GRAPHS.values())
+    )
+    for graph in graphs:
+        aut = automorphisms(graph)
+        for cfg in ALL_CONFIGS:
+            enumerate_traces(graph, cfg, aut=aut)
+    assert checked > 0
 
 
 def search_with(graph, cfg, jobs, transitions):
