@@ -66,26 +66,27 @@ each accepted leaf is a canonical double trace of the requested kind
 and orientation.
 
 Only the kind lookahead reads the transition structure at each vertex
-(`PartialTrace.mate` and `span`), so a search with no kind bound (kind
-any) builds its state without it, and `push` and `pop` skip it.  An
-edge's first traversal direction (`PartialTrace.edge_from`) is read
-only while the edge is used, so `pop` does not reset it when the edge
-empties.
+(`PartialTrace.mate` and `span`), so the state keeps it only under a
+kind bound (strong or stable), and for kind any `push` and `pop` skip
+it.  An edge's first traversal direction (`PartialTrace.edge_from`) is
+read only while the edge is used, so `pop` does not reset it when the
+edge empties.
 
 One loop, `_descend`, runs the search, in place on a single
-`PartialTrace`: the one search state, holding the prefix and the
-symmetries tied with it.  `push` extends both and `pop` restores both
-from one undo journal, as in backtracking with dancing links (Knuth,
-TAOCP 7.2.2.1).  The parallel path (`jobs > 1`) uses it with a stop
-depth: first through `extend_feasibly`, to find the shallowest depth
-whose frontier, the prefixes the search enters there, has at least
-`FRONTIER_PER_JOB` prefixes per process; then in each of `jobs`
-processes, the caller included, each of which walks that frontier with
-its one search state and, below each prefix whose index it takes from
-a shared counter, searches to full length.  So the split is dealt on
-demand and differs from run to run, but each prefix's traces are put
-back in frontier order, and the output is identical to the serial
-search's.
+`PartialTrace`: the one search state, holding the configuration, the
+prefix and the symmetries tied with it; every function below the front
+end reads the configuration from it.  `push` extends the prefix and
+its symmetries and `pop` restores both from one undo journal, as in
+backtracking with dancing links (Knuth, TAOCP 7.2.2.1).  The parallel
+path (`jobs > 1`) uses it with a stop depth: first through
+`extend_feasibly`, to find the shallowest depth whose frontier, the
+prefixes the search enters there, has at least `FRONTIER_PER_JOB`
+prefixes per process; then in each of `jobs` processes, the caller
+included, each of which walks that frontier with its one search state
+and, below each prefix whose index it takes from a shared counter,
+searches to full length.  So the split is dealt on demand and differs
+from run to run, but each prefix's traces are put back in frontier
+order, and the output is identical to the serial search's.
 
 The search holds no trace: `_descend` yields each accepted walk, and
 its caller keeps what it needs of them.  `enumerate_traces` keeps the
@@ -145,10 +146,15 @@ def _require_base_edge(graph: Graph) -> None:
 
 
 class PartialTrace:
-    """The search state: a prefix of a double trace and the symmetries
-    still tied with it.
+    """The search state: the configuration searched, a prefix of a double
+    trace and the symmetries still tied with it.
 
-    A new one holds the base prefix 0 1, which needs vertices 0 and 1
+    `config` is the `EnumerationConfig`, and `bound` its kind bound: the
+    kind lookahead rejects a split vertex whose smallest transition
+    component has at most `bound` neighbours, n for strong traces, d for
+    d-stable ones and 0, no lookahead, for kind any.
+
+    A new state holds the base prefix 0 1, which needs vertices 0 and 1
     adjacent.  Tied with it are the forward alignments at start 0 of the
     automorphisms other than the identity fixing 0 and 1, and the
     backward alignments starting on the arc (1, 0), which read 0 1 from
@@ -157,11 +163,11 @@ class PartialTrace:
     The walk's bookkeeping: per-edge use counts, the closing step's
     included once it is forced (see `closing`); first traversal
     directions, meaningful only while their edge is used (-1 before its
-    first use, stale after a pop empties it); and, unless built with
-    `transitions=False`, the transition structure already completed at
-    each vertex (a visit's pair is complete once both its neighbours in
-    the walk are known; the pairs at w_0 and at the final vertex close
-    only when the walk does); without it `mate` and `span` are None.
+    first use, stale after a pop empties it); and, when `bound` is
+    positive, the transition structure already completed at each vertex
+    (a visit's pair is complete once both its neighbours in the walk are
+    known; the pairs at w_0 and at the final vertex close only when the
+    walk does); with no bound `mate` and `span` are None.
     A neighbour has two pair slots at u, one per traversal of their
     edge, so the pairs at u form paths and cycles over u's neighbours.
     `mate[u][a]` is the far end of the path ending at the neighbour a (a
@@ -233,6 +239,8 @@ class PartialTrace:
 
     __slots__ = (
         "graph",
+        "config",
+        "bound",
         "seq",
         "edge_count",
         "edge_from",
@@ -247,10 +255,12 @@ class PartialTrace:
         "_journal",
     )
 
-    def __init__(self, graph: Graph, aut: AutGroup, *, transitions: bool = True):
+    def __init__(self, graph: Graph, aut: AutGroup, config: EnumerationConfig):
         _require_base_edge(graph)
         e = graph.edge_id(0, 1)
         self.graph = graph
+        self.config = config
+        self.bound: int = {"strong": graph.n, "stable": config.d}.get(config.kind, 0)
         self.seq = [0, 1]
         self.edge_count = [0] * graph.m
         self.edge_count[e] = 1
@@ -258,7 +268,7 @@ class PartialTrace:
         self.edge_from[e] = 0
         self.mate: list[dict[int, int]] | None = None
         self.span: list[dict[int, int]] | None = None
-        if transitions:
+        if self.bound:
             self.mate = [{a: a for a in row} for row in graph.adj]
             self.span = [dict.fromkeys(row, 1) for row in graph.adj]
         # A leaf 0 is left for the last time at the root, and the closing
@@ -379,15 +389,6 @@ class PartialTrace:
         return len(self.seq)
 
 
-def _kind_bound(graph: Graph, config: EnumerationConfig) -> int:
-    """Reject a split vertex whose smallest component is <= this bound."""
-    if config.kind == "strong":
-        return graph.n
-    if config.kind == "stable":
-        return config.d  # type: ignore[return-value]
-    return 0
-
-
 def _kind_lookahead_ok(partial: PartialTrace, a: int, u: int, v: int, bound: int) -> bool:
     """The in-search kind check: False if the pair {a, v} at u dooms u.
 
@@ -416,20 +417,21 @@ def _kind_lookahead_ok(partial: PartialTrace, a: int, u: int, v: int, bound: int
     return size > bound or size == len(mate)
 
 
-def feasible_neighbors(partial: PartialTrace, config: EnumerationConfig) -> list[int]:
+def feasible_neighbors(partial: PartialTrace) -> list[int]:
     """Vertices that may extend the prefix by one step.
 
-    Enforces edge capacity and orientation consistency on second
-    traversals.  Once the closing vertex c is forced, the closing step
-    c -> 0 is counted in `edge_count`, so the edge c-0 is full and 0 is
-    not offered: stepping there would strand the walk at 0.  At full
-    length that step is `_accept`'s to decide.  The kind is not checked
-    here; that is `_kind_lookahead_ok`'s job.
+    Enforces edge capacity and, in the state's configuration,
+    orientation consistency on second traversals.  Once the closing
+    vertex c is forced, the closing step c -> 0 is counted in
+    `edge_count`, so the edge c-0 is full and 0 is not offered: stepping
+    there would strand the walk at 0.  At full length that step is
+    `_accept`'s to decide.  The kind is not checked here; that is
+    `_kind_lookahead_ok`'s job.
     """
     u = partial.seq[-1]
     row = partial.graph.eid_row[u]
     edge_count = partial.edge_count
-    orientation = config.orientation
+    orientation = partial.config.orientation
     out = []
     if orientation == "any":
         # A loop: in CPython 3.11 a comprehension here is slower.
@@ -568,9 +570,9 @@ def prune(partial: PartialTrace) -> PartialTrace:
     return partial
 
 
-def _accept(partial: PartialTrace, config: EnumerationConfig, bound: int) -> bool:
+def _accept(partial: PartialTrace) -> bool:
     """Whether a full-length prefix the search entered closes into a
-    trace to emit; `bound` is `_kind_bound` of `config`.
+    trace of the state's configuration to emit.
 
     The closing step back to w_0 = 0 must respect the orientation, and
     the two pairs it completes must pass the kind lookahead: {w_{2m-2},
@@ -596,12 +598,13 @@ def _accept(partial: PartialTrace, config: EnumerationConfig, bound: int) -> boo
     """
     seq = partial.seq
     last = seq[-1]
-    orientation = config.orientation
+    orientation = partial.config.orientation
     if orientation != "any":
         # The closing edge's second traversal runs last -> 0.
         first_from_last = partial.edge_from[partial.graph.eid_row[last][0]] == last
         if first_from_last != (orientation == "parallel"):
             return False
+    bound = partial.bound
     if bound and not (
         _kind_lookahead_ok(partial, seq[-2], last, 0, bound)
         and _kind_lookahead_ok(partial, last, 0, 1, bound)
@@ -657,9 +660,7 @@ def _precedes(perm: Sequence[int], xs: Iterable[int], bs: Sequence[int]) -> bool
     return False
 
 
-def _descend(
-    partial: PartialTrace, config: EnumerationConfig, stop: int
-) -> Iterator[tuple[int, ...]]:
+def _descend(partial: PartialTrace, stop: int) -> Iterator[tuple[int, ...]]:
     """Yield the walks of the subtree under one prefix, down to length
     `stop`.
 
@@ -681,24 +682,19 @@ def _descend(
     prefix is restored once the walks are exhausted.
     """
     seq = partial.seq
-    graph = partial.graph
-    bound = _kind_bound(graph, config)
-    if bound and partial.mate is None:
-        raise ValueError(
-            f"the {config.kind} kind lookahead needs a search state with transition paths"
-        )
-    leaf = stop == 2 * graph.m
+    bound = partial.bound
+    leaf = stop == 2 * partial.graph.m
     push = partial.push
     pop = partial.pop
     base = p = len(seq)
     if p == stop:
-        if not leaf or _accept(partial, config, bound):
+        if not leaf or _accept(partial):
             yield tuple(seq)
         return
     frames: list[list] = []
     while True:
         # Expand the prefix: its candidates, in increasing order.
-        cands = feasible_neighbors(partial, config)
+        cands = feasible_neighbors(partial)
         if bound and cands:
             # Only the step to the far end of a's path can fail.
             a = seq[-2]
@@ -736,7 +732,7 @@ def _descend(
             if partial.smaller_witness is not None:
                 cands = ()
             elif p == stop:
-                if not leaf or _accept(partial, config, bound):
+                if not leaf or _accept(partial):
                     yield tuple(seq)
                 cands = ()
             else:
@@ -748,9 +744,7 @@ def _count(walks: Iterable[tuple[int, ...]]) -> int:
     return sum(1 for _ in walks)
 
 
-def extend_feasibly(
-    partial: PartialTrace, config: EnumerationConfig, depth: int
-) -> list[tuple[int, ...]]:
+def extend_feasibly(partial: PartialTrace, depth: int) -> list[tuple[int, ...]]:
     """The prefixes of length `depth` that the search under `partial` enters.
 
     They come in search order, and each has passed every check the full
@@ -758,12 +752,11 @@ def extend_feasibly(
     the forward comparisons of `canonical_extension` and the rest of
     `prune`.  `depth` must be shorter than a full trace.
     """
-    return list(_descend(partial, config, depth))
+    return list(_descend(partial, depth))
 
 
 def _search_dealt(
     partial: PartialTrace,
-    config: EnumerationConfig,
     depth: int,
     counter,
     collect: Callable[[Iterator[tuple[int, ...]]], _Part],
@@ -787,17 +780,17 @@ def _search_dealt(
     length = 2 * partial.graph.m
     parts = []
     index = take()
-    for position, _ in enumerate(_descend(partial, config, depth)):
+    for position, _ in enumerate(_descend(partial, depth)):
         if position == index:
-            parts.append((index, collect(_descend(partial, config, length))))
+            parts.append((index, collect(_descend(partial, length))))
             index = take()
     return parts
 
 
-def _search_child(partial, config, depth, counter, collect, conn) -> None:
+def _search_child(partial, depth, counter, collect, conn) -> None:
     """A worker process: its share of the frontier, sent back whole once
     the counter runs out, so that it never waits on the caller mid-search."""
-    conn.send(_search_dealt(partial, config, depth, counter, collect))
+    conn.send(_search_dealt(partial, depth, counter, collect))
     conn.close()
 
 
@@ -830,11 +823,10 @@ def _search(
         return []
     if aut is None:
         aut = automorphisms(graph)
-    # Only the kind lookahead reads the transition paths.
-    partial = PartialTrace(graph, aut, transitions=_kind_bound(graph, config) > 0)
+    partial = PartialTrace(graph, aut, config)
     if jobs > 1:
-        return _enumerate_parallel(partial, config, jobs, collect)
-    return [collect(_descend(partial, config, 2 * graph.m))]
+        return _enumerate_parallel(partial, jobs, collect)
+    return [collect(_descend(partial, 2 * graph.m))]
 
 
 def enumerate_traces(
@@ -853,9 +845,12 @@ def enumerate_traces(
     dealt out to that many processes, the caller included; the result is
     the same.  `jobs` below 1 is a `ValueError`.
     `aut` may pass in the graph's automorphism group if it is already
-    known; one holding a permutation that is not an automorphism of
-    `graph` is a `ValueError`.  A configuration that `no_trace_reason` rules out returns []
-    without a search.
+    known.  It must be the whole group, as `automorphisms(graph)`
+    returns it: a proper subgroup is not detected, and the output then
+    has one trace per orbit of the smaller group.  One holding a
+    permutation that is not an automorphism of `graph` is a
+    `ValueError`.  A configuration that `no_trace_reason` rules out
+    returns [] without a search.
     """
     parts = _search(graph, config, jobs, aut, list)
     # A single part, the serial search's, is returned without a copy.
@@ -872,13 +867,14 @@ def count_traces(
     """`len(enumerate_traces(graph, config, jobs=jobs, aut=aut))`, in
     memory proportional to the depth of the search: no trace is kept,
     and with `jobs > 1` each process sends back one count per frontier
-    prefix it searched."""
+    prefix it searched.  As there, a passed `aut` must be the whole
+    automorphism group; a proper subgroup counts the orbits of the
+    smaller group."""
     return sum(_search(graph, config, jobs, aut, _count))
 
 
 def _enumerate_parallel(
     partial: PartialTrace,
-    config: EnumerationConfig,
     jobs: int,
     collect: Callable[[Iterator[tuple[int, ...]]], _Part],
 ) -> list[_Part]:
@@ -905,9 +901,9 @@ def _enumerate_parallel(
     depth = len(partial)
     while 0 < width < FRONTIER_PER_JOB * jobs and depth + 1 < length:
         depth += 1
-        width = len(extend_feasibly(partial, config, depth))
+        width = len(extend_feasibly(partial, depth))
     if width < 2 or depth + 1 >= length:
-        return [collect(_descend(partial, config, length))]
+        return [collect(_descend(partial, length))]
     counter = multiprocessing.Value("i", 0)
     parts: list = [None] * width
     children = []
@@ -916,13 +912,13 @@ def _enumerate_parallel(
             receiver, sender = multiprocessing.Pipe(duplex=False)
             child = multiprocessing.Process(
                 target=_search_child,
-                args=(partial, config, depth, counter, collect, sender),
+                args=(partial, depth, counter, collect, sender),
                 daemon=True,
             )
             child.start()
             sender.close()
             children.append((child, receiver))
-        for index, part in _search_dealt(partial, config, depth, counter, collect):
+        for index, part in _search_dealt(partial, depth, counter, collect):
             parts[index] = part
         for child, receiver in children:
             try:

@@ -667,6 +667,20 @@ class TestConsoleScript:
             assert proc.returncode == 0, proc.stderr
             assert "# count: 3" in proc.stdout
 
+    def test_import_leaves_multiprocessing_out(self):
+        # `_enumerate_parallel` imports multiprocessing only when it splits
+        # a search; imported with the CLI it cost about 12 ms a run.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+        )
+        script = "import sys, doubletrace.cli; print('multiprocessing' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
     def test_reader_closing_early_is_not_an_error(self):
         # As with `| head -1`: the reader takes one line and closes the pipe
         # while the command still has about 170 kB of traces to write.

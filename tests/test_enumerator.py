@@ -32,7 +32,6 @@ from doubletrace import (
 from doubletrace import enumerator
 from doubletrace.enumerator import (
     _accept,
-    _kind_bound,
     _kind_lookahead_ok,
     extend_feasibly,
     no_trace_reason,
@@ -40,10 +39,13 @@ from doubletrace.enumerator import (
 
 K4_STRONG = (0, 1, 2, 0, 1, 3, 0, 2, 3, 1, 2, 3)
 
+# A search state under a kind bound keeps its transition paths.
+STRONG = EnumerationConfig(kind="strong")
 
-def build_partial(graph, seq):
+
+def build_partial(graph, seq, config=STRONG):
     """Partial trace for an explicit prefix (no feasibility checking)."""
-    pt = PartialTrace(graph, automorphisms(graph))
+    pt = PartialTrace(graph, automorphisms(graph), config)
     assert tuple(seq[:2]) == (0, 1)
     for v in seq[2:]:
         pt.push(v)
@@ -57,16 +59,11 @@ def read_state(state):
     return (seq, edge_count, [f if c else -1 for f, c in zip(edge_from, edge_count)], *rest)
 
 
-def accept(pt, config):
-    """`_accept` with the kind bound the search passes it."""
-    return _accept(pt, config, _kind_bound(pt.graph, config))
-
-
 class TestPartialTrace:
     def test_initial_requires_base_edge(self):
         g = Graph(3, [(0, 2), (1, 2)])
         with pytest.raises(ValueError, match="adjacent"):
-            PartialTrace(g, automorphisms(g))
+            PartialTrace(g, automorphisms(g), STRONG)
 
     def test_long_path_allocates_no_square_table(self):
         # A 600-vertex path has two automorphisms; an n x n table of
@@ -76,7 +73,7 @@ class TestPartialTrace:
         aut = automorphisms(graph)
         tracemalloc.start()
         try:
-            pt = PartialTrace(graph, aut)
+            pt = PartialTrace(graph, aut, STRONG)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -93,7 +90,7 @@ class TestPartialTrace:
         aut = automorphisms(graph)
         tracemalloc.start()
         try:
-            pt = PartialTrace(graph, aut)
+            pt = PartialTrace(graph, aut, STRONG)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -254,10 +251,10 @@ def test_walk_bookkeeping_matches_its_definition(graph):
     # closing step's while it is forced; and `edge_from`, read only where
     # its edge has been used, holds the first traversal's tail there.  The
     # state is read where the search holds it, at each prefix of a frontier.
-    pt = PartialTrace(graph, automorphisms(graph))
+    pt = PartialTrace(graph, automorphisms(graph), EnumerationConfig())
     zero_edges = [(c, graph.edge_id(0, c)) for c in graph.adj[0]]
     for depth in range(3, 2 * graph.m):
-        for prefix in enumerator._descend(pt, EnumerationConfig(), depth):
+        for prefix in enumerator._descend(pt, depth):
             seq = pt.seq
             used = [0] * graph.m
             first = [-1] * graph.m
@@ -281,39 +278,41 @@ class TestFeasibleNeighbors:
         # At length 2 only adjacency and edge capacity constrain the step,
         # even for strong enumeration.
         pt = build_partial(k4, (0, 1))
-        assert feasible_neighbors(pt, EnumerationConfig(kind="strong")) == [0, 2, 3]
+        assert feasible_neighbors(pt) == [0, 2, 3]
 
     def test_exhausted_edges_block(self, triangle):
         # After 0,1,0 the edge {0,1} is used twice; only 2 remains.
-        pt = build_partial(triangle, (0, 1, 0))
-        assert feasible_neighbors(pt, EnumerationConfig()) == [2]
+        pt = build_partial(triangle, (0, 1, 0), EnumerationConfig())
+        assert feasible_neighbors(pt) == [2]
 
     def test_parallel_repeats_first_direction(self, triangle):
         # The edge {1,2} was first taken 1 -> 2, so its second traversal
         # under parallel orientation must again run 1 -> 2.
-        pt = build_partial(triangle, (0, 1, 2, 0, 1))
-        assert feasible_neighbors(pt, EnumerationConfig(orientation="parallel")) == [2]
+        parallel = EnumerationConfig(orientation="parallel")
+        pt = build_partial(triangle, (0, 1, 2, 0, 1), parallel)
+        assert feasible_neighbors(pt) == [2]
         # Here {1,2} was first taken 2 -> 1; stepping 1 -> 2 would repeat
         # it in the opposite direction, which parallel forbids.
-        pt2 = build_partial(triangle, (0, 1, 0, 2, 1))
-        assert feasible_neighbors(pt2, EnumerationConfig(orientation="parallel")) == []
+        pt2 = build_partial(triangle, (0, 1, 0, 2, 1), parallel)
+        assert feasible_neighbors(pt2) == []
 
     def test_antiparallel_reverses_first_direction(self, triangle):
-        pt = build_partial(triangle, (0, 1, 0, 2, 1))
-        assert feasible_neighbors(pt, EnumerationConfig(orientation="antiparallel")) == [2]
-        pt2 = build_partial(triangle, (0, 1, 2, 0, 1))
-        assert feasible_neighbors(pt2, EnumerationConfig(orientation="antiparallel")) == []
+        antiparallel = EnumerationConfig(orientation="antiparallel")
+        pt = build_partial(triangle, (0, 1, 0, 2, 1), antiparallel)
+        assert feasible_neighbors(pt) == [2]
+        pt2 = build_partial(triangle, (0, 1, 2, 0, 1), antiparallel)
+        assert feasible_neighbors(pt2) == []
 
     def test_completing_visit_accepts_connected(self, k4):
         # Leaving vertex 1 for the third (= last) time completes its
         # transition structure.  The prefix below gives it the pairs
         # {0,2}, {0,3}; stepping 1 -> 2 adds {3,2}, which connects
         # everything, so the kind lookahead keeps the step.
-        pt = build_partial(k4, (0, 1, 2, 0, 1, 3, 0, 2, 3, 1))
-        assert feasible_neighbors(pt, EnumerationConfig(kind="strong")) == [2]
-        assert feasible_neighbors(pt, EnumerationConfig()) == [2]
-        cfg = EnumerationConfig(kind="strong")
-        assert _kind_lookahead_ok(pt, 3, 1, 2, _kind_bound(k4, cfg))
+        prefix = (0, 1, 2, 0, 1, 3, 0, 2, 3, 1)
+        pt = build_partial(k4, prefix)
+        assert feasible_neighbors(pt) == [2]
+        assert feasible_neighbors(build_partial(k4, prefix, EnumerationConfig())) == [2]
+        assert _kind_lookahead_ok(pt, 3, 1, 2, pt.bound)
 
     def test_completing_visit_rejects_split(self, triangle):
         # Leaving vertex 1 for the second (= last) time here closes its
@@ -322,31 +321,32 @@ class TestFeasibleNeighbors:
         # it allows the step for every kind; the kind lookahead rejects it
         # for strong enumeration and for 1-stability (the repetitions have
         # only one element).
-        pt = build_partial(triangle, (0, 1, 0, 2, 1))
-        strong = EnumerationConfig(kind="strong")
+        prefix = (0, 1, 0, 2, 1)
         stable1 = EnumerationConfig(kind="stable", d=1)
-        for cfg in (EnumerationConfig(), strong, stable1):
-            assert feasible_neighbors(pt, cfg) == [2]
-        for cfg in (strong, stable1):
-            assert not _kind_lookahead_ok(pt, 2, 1, 2, _kind_bound(triangle, cfg))
+        for cfg in (EnumerationConfig(), STRONG, stable1):
+            assert feasible_neighbors(build_partial(triangle, prefix, cfg)) == [2]
+        for cfg in (STRONG, stable1):
+            pt = build_partial(triangle, prefix, cfg)
+            assert not _kind_lookahead_ok(pt, 2, 1, 2, pt.bound)
 
     def test_last_steps_of_known_trace(self, k4):
         # The final two steps of a full strong trace stay feasible; the
         # closing step back to vertex 0 is decided at the leaf.
         pt = build_partial(k4, K4_STRONG[:10])
-        assert feasible_neighbors(pt, EnumerationConfig(kind="strong")) == [2]
+        assert feasible_neighbors(pt) == [2]
         pt.push(2)
-        assert feasible_neighbors(pt, EnumerationConfig(kind="strong")) == [3]
+        assert feasible_neighbors(pt) == [3]
 
     def test_reserved_closing_step_is_not_offered(self, triangle):
         # After 0,1,0,2 the one traversal left at 0 is the closing step
         # 2 -> 0, so stepping there now would strand the walk at 0.
-        pt = build_partial(triangle, (0, 1, 0, 2))
-        assert pt.closing == 2
         for cfg in (EnumerationConfig(), EnumerationConfig(orientation="antiparallel")):
-            assert feasible_neighbors(pt, cfg) == [1]
+            pt = build_partial(triangle, (0, 1, 0, 2), cfg)
+            assert pt.closing == 2
+            assert feasible_neighbors(pt) == [1]
+        pt = build_partial(triangle, (0, 1, 0, 2), EnumerationConfig())
         pt.push(1)
-        assert feasible_neighbors(pt, EnumerationConfig()) == [2]
+        assert feasible_neighbors(pt) == [2]
 
     def test_full_length_offers_only_the_closing_step(self, triangle):
         # At full length the one edge left with capacity leads back to
@@ -357,9 +357,9 @@ class TestFeasibleNeighbors:
         prefix = (0, 1, 0, 2, 1, 2)
         for orientation, accepted in (("any", True), ("antiparallel", True), ("parallel", False)):
             cfg = EnumerationConfig(orientation=orientation)
-            pt = build_partial(triangle, prefix)
-            assert feasible_neighbors(pt, cfg) == []
-            assert accept(pt, cfg) is accepted
+            pt = build_partial(triangle, prefix, cfg)
+            assert feasible_neighbors(pt) == []
+            assert _accept(pt) is accepted
 
 
 class TestClosingPairs:
@@ -370,11 +370,10 @@ class TestClosingPairs:
     def replay(graph, cfg, trace):
         """The search state for `trace`, and whether every in-search
         kind lookahead passed on the way."""
-        bound = _kind_bound(graph, cfg)
-        pt = PartialTrace(graph, automorphisms(graph))
+        pt = PartialTrace(graph, automorphisms(graph), cfg)
         passed = True
         for v in trace[2:]:
-            passed = passed and _kind_lookahead_ok(pt, pt.seq[-2], pt.seq[-1], v, bound)
+            passed = passed and _kind_lookahead_ok(pt, pt.seq[-2], pt.seq[-1], v, pt.bound)
             pt.push(v)
         return pt, passed
 
@@ -398,7 +397,7 @@ class TestClosingPairs:
         # Neither prefix is canonical either, so the search would have
         # cut it on the way down; `_accept` rejects it for its kind alone.
         assert pt.smaller_witness is not None
-        assert not accept(pt, cfg)
+        assert not _accept(pt)
 
     @pytest.mark.parametrize(
         "graph,trace,at_last,at_start",
@@ -426,8 +425,8 @@ class TestClosingPairs:
         assert passed and pt.smaller_witness is None
         assert _kind_lookahead_ok(pt, trace[-2], trace[-1], 0, 1) is at_last
         assert _kind_lookahead_ok(pt, trace[-1], 0, 1, 1) is at_start
-        assert not accept(pt, cfg)
-        assert accept(pt, EnumerationConfig())
+        assert not _accept(pt)
+        assert _accept(build_partial(graph, trace, EnumerationConfig()))
         assert len(pt) == 2 * graph.m
 
 
@@ -544,7 +543,7 @@ class TestRetainedSymmetries:
         # start 0 are exactly the automorphisms other than the identity
         # that fix each prefix vertex, and they head `forward`.
         aut = automorphisms(k4)
-        pt = PartialTrace(k4, aut)
+        pt = PartialTrace(k4, aut, STRONG)
         for v in (None, 2, 0, 1, 3):
             if v is not None:
                 pt.push(v)
@@ -561,13 +560,12 @@ class TestRetainedSymmetries:
 
 class TestExtendFeasibly:
     def test_frontier_in_search_order(self, k4):
-        cfg = EnumerationConfig(kind="strong")
-        pt = PartialTrace(k4, automorphisms(k4))
+        pt = PartialTrace(k4, automorphisms(k4), STRONG)
         # The kind lookahead cuts 0,1,0: pairing 0 with itself at vertex 1
         # fills both pair slots of 0 there, leaving {0} a repetition.
-        assert extend_feasibly(pt, cfg, 3) == [(0, 1, 2)]
-        assert extend_feasibly(pt, cfg, 4) == [(0, 1, 2, 0), (0, 1, 2, 3)]
-        frontier = extend_feasibly(pt, cfg, 6)
+        assert extend_feasibly(pt, 3) == [(0, 1, 2)]
+        assert extend_feasibly(pt, 4) == [(0, 1, 2, 0), (0, 1, 2, 3)]
+        frontier = extend_feasibly(pt, 6)
         assert frontier == sorted(frontier)
         assert pt.seq == [0, 1]
         # The frontier covers the output.
@@ -577,8 +575,8 @@ class TestExtendFeasibly:
     def test_pruned_children_are_dropped(self, triangle):
         # From 0,1,2 the only extensions are 0 and 1, and 0,1,2,1 is
         # killed by its witness.
-        pt = build_partial(triangle, (0, 1, 2))
-        assert extend_feasibly(pt, EnumerationConfig(), 4) == [(0, 1, 2, 0)]
+        pt = build_partial(triangle, (0, 1, 2), EnumerationConfig())
+        assert extend_feasibly(pt, 4) == [(0, 1, 2, 0)]
         assert pt.seq == [0, 1, 2]
 
 
@@ -639,8 +637,8 @@ SEARCH_TREE_WIDTHS = [
 )
 def test_search_tree_widths_are_pinned(name, k, cfg, widths, widths_before):
     graph = named_graph(name, k)
-    pt = PartialTrace(graph, automorphisms(graph))
-    got = [len(extend_feasibly(pt, cfg, d)) for d in range(3, 2 * graph.m)]
+    pt = PartialTrace(graph, automorphisms(graph), cfg)
+    got = [len(extend_feasibly(pt, d)) for d in range(3, 2 * graph.m)]
     assert got == widths
     assert len(got) == len(widths_before)
     assert all(new <= old for new, old in zip(got, widths_before))
@@ -800,6 +798,32 @@ class TestEnumerateTraces:
             enumerate_traces(prism3, EnumerationConfig(kind="strong"), jobs=2)
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize(
+        "graph,cfg",
+        [(named_graph("prism", 3), STRONG), (named_graph("tetrahedron"), EnumerationConfig())],
+        ids=["prism3-strong", "tetrahedron-any"],
+    )
+    def test_parallel_jobs_under_spawn(self, monkeypatch, graph, cfg):
+        # Spawn, the default start method on macOS and Windows, starts each
+        # child afresh: the search state, the shared counter and the
+        # collector reach it pickled.
+        spawn = multiprocessing.get_context("spawn")
+        started = []
+
+        def process(*args, **kwargs):
+            child = spawn.Process(*args, **kwargs)
+            started.append(child)
+            return child
+
+        monkeypatch.setattr(multiprocessing, "Process", process)
+        monkeypatch.setattr(multiprocessing, "Pipe", spawn.Pipe)
+        monkeypatch.setattr(multiprocessing, "Value", spawn.Value)
+        serial = enumerate_traces(graph, cfg)
+        assert enumerate_traces(graph, cfg, jobs=2) == serial
+        assert count_traces(graph, cfg, jobs=3) == len(serial)
+        assert started
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_rejected(self, k4, jobs):
         # Raised at the call, not when a result is first read.
@@ -884,8 +908,7 @@ def test_leaf_check_matches_is_canonical(graph):
     # Sorted traces share prefixes, so each step is pushed once per
     # subtree.
     aut = automorphisms(graph)
-    cfg = EnumerationConfig()
-    pt = PartialTrace(graph, aut)
+    pt = PartialTrace(graph, aut, EnumerationConfig())
     verdicts = set()
     for w in sorted(brute_enumerate(graph, EnumerationConfig())):
         common = 2
@@ -895,7 +918,7 @@ def test_leaf_check_matches_is_canonical(graph):
             pt.pop()
         for v in w[common:]:
             pt.push(v)
-        accepted = pt.smaller_witness is None and accept(pt, cfg)
+        accepted = pt.smaller_witness is None and _accept(pt)
         assert accepted == is_canonical(graph, w, aut), w
         verdicts.add(accepted)
     assert verdicts == {True, False}
@@ -997,9 +1020,9 @@ def test_canonical_extension_drops_exactly_the_forward_witnesses():
     dropped = 0
     for graph in graphs:
         for cfg in ALL_CONFIGS:
-            pt = PartialTrace(graph, automorphisms(graph))
+            pt = PartialTrace(graph, automorphisms(graph), cfg)
             seq = pt.seq
-            bound = _kind_bound(graph, cfg)
+            bound = pt.bound
 
             def walk():
                 nonlocal dropped
@@ -1007,7 +1030,7 @@ def test_canonical_extension_drops_exactly_the_forward_witnesses():
                     return
                 cands = [
                     v
-                    for v in feasible_neighbors(pt, cfg)
+                    for v in feasible_neighbors(pt)
                     if not bound or _kind_lookahead_ok(pt, seq[-2], seq[-1], v, bound)
                 ]
                 assert cands == sorted(cands), seq
@@ -1126,8 +1149,7 @@ def test_two_arc_index_matches_reference(graph):
     # pending on the last arc are added to `forward`.
     aut = automorphisms(graph)
     assert aut.order > 1
-    cfg = EnumerationConfig()
-    pt = PartialTrace(graph, aut)
+    pt = PartialTrace(graph, aut, EnumerationConfig())
     ref = ReferenceAlignments(graph, aut)
     seq = pt.seq
     seen = {"prefixes": 0, "witnesses": 0, "pending": 0}
@@ -1146,7 +1168,7 @@ def test_two_arc_index_matches_reference(graph):
     def walk():
         if len(seq) == 2 * graph.m:
             return
-        cands = feasible_neighbors(pt, cfg)
+        cands = feasible_neighbors(pt)
         assert canonical_extension(pt, cands) == ref.canonical_extension(seq, cands), seq
         for v in cands:
             pt.push(v)
@@ -1195,7 +1217,7 @@ def test_accept_early_exit_matches_list_comparison(graph):
     length = 2 * graph.m
     verdicts = set()
     for w in rng.sample(leaves, min(len(leaves), 20)):
-        pt = PartialTrace(graph, aut)
+        pt = PartialTrace(graph, aut, cfg)
         for v in w[2:]:
             pt.push(v)
         for _ in range(30):
@@ -1211,7 +1233,7 @@ def test_accept_early_exit_matches_list_comparison(graph):
                 ]
 
             pt.forward, pt.backward = alignments(1), alignments(0)
-            verdict = accept(pt, cfg)
+            verdict = _accept(pt)
             assert verdict == reference_accept_tails(pt), (w, pt.forward, pt.backward)
             verdicts.add(verdict)
     assert verdicts == {True, False}
@@ -1227,8 +1249,8 @@ def test_search_leaves_match_the_predicates(monkeypatch):
     original = enumerator._accept
     leaves = []
 
-    def recording(partial, config, bound):
-        verdict = original(partial, config, bound)
+    def recording(partial):
+        verdict = original(partial)
         seq = partial.seq
         before, last = seq[-2], seq[-1]
         two_arc = partial._two_arc
@@ -1302,13 +1324,12 @@ def test_backward_alignments_started_after_the_end_is_forced_tie_on_it(monkeypat
     assert checked > 0
 
 
-def search_with(graph, cfg, jobs, transitions):
-    """The traces of a search on a state built with or without transition
-    paths, serially or dealt to `jobs` processes."""
-    partial = PartialTrace(graph, automorphisms(graph), transitions=transitions)
+def search_with(partial, jobs):
+    """The traces of a search on `partial`, serially or dealt to `jobs`
+    processes."""
     if jobs == 1:
-        return list(enumerator._descend(partial, cfg, 2 * graph.m))
-    parts = enumerator._enumerate_parallel(partial, cfg, jobs, list)
+        return list(enumerator._descend(partial, 2 * partial.graph.m))
+    parts = enumerator._enumerate_parallel(partial, jobs, list)
     return [w for part in parts for w in part]
 
 
@@ -1320,12 +1341,17 @@ KIND_ANY_GRAPHS = {
 
 @pytest.mark.parametrize("graph", KIND_ANY_GRAPHS.values(), ids=KIND_ANY_GRAPHS.keys())
 def test_kind_any_search_needs_no_transition_paths(graph):
+    # With no kind bound the state has no transition paths, and its
+    # search, bypassing the root decision, still gives the oracle's traces.
+    aut = automorphisms(graph)
     for cfg in ALL_CONFIGS:
         if cfg.kind != "any":
             continue
+        expected = canonical_orbit_representatives(graph, cfg)
         for jobs in (1, 2):
-            kept = search_with(graph, cfg, jobs, True)
-            assert search_with(graph, cfg, jobs, False) == kept, (cfg.describe(), jobs)
+            partial = PartialTrace(graph, aut, cfg)
+            assert partial.bound == 0 and partial.mate is None and partial.span is None
+            assert search_with(partial, jobs) == expected, (cfg.describe(), jobs)
 
 
 @pytest.mark.parametrize(
@@ -1341,7 +1367,7 @@ def test_kind_any_search_needs_no_transition_paths(graph):
 def test_search_keeps_transition_paths_only_under_a_kind_bound(monkeypatch, name, k, cfg):
     # The rows the CLI benchmark runs: the search state is built without
     # transition paths for kind any, and the traces are those of a search
-    # that keeps them.
+    # on a state built here.
     graph = named_graph(name, k)
     built = []
     original = enumerator.PartialTrace
@@ -1356,21 +1382,7 @@ def test_search_keeps_transition_paths_only_under_a_kind_bound(monkeypatch, name
         built.clear()
         traces = enumerate_traces(graph, cfg, jobs=jobs)
         assert built == [cfg.kind != "any"]
-        assert traces == search_with(graph, cfg, jobs, True), jobs
-
-
-def test_kind_bound_needs_transition_paths(k4):
-    aut = automorphisms(k4)
-    pt = PartialTrace(k4, aut, transitions=False)
-    assert pt.mate is None and pt.span is None
-    for cfg in (EnumerationConfig(kind="strong"), EnumerationConfig(kind="stable", d=1)):
-        with pytest.raises(ValueError, match="transition paths"):
-            next(enumerator._descend(pt, cfg, 2 * k4.m))
-        with pytest.raises(ValueError, match="transition paths"):
-            extend_feasibly(pt, cfg, 4)
-        assert pt.seq == [0, 1]
-    cfg = EnumerationConfig()
-    assert extend_feasibly(pt, cfg, 6) == extend_feasibly(PartialTrace(k4, aut), cfg, 6)
+        assert traces == search_with(PartialTrace(graph, automorphisms(graph), cfg), jobs), jobs
 
 
 # Rows of the `tables` reference set that have no trace by a parity
@@ -1523,8 +1535,8 @@ def test_kind_lookahead_matches_reference_and_cuts_at_most_one_step(graph):
         EnumerationConfig(kind="stable", d=2),
         EnumerationConfig(kind="strong"),
     ):
-        bound = _kind_bound(graph, cfg)
-        pt = PartialTrace(graph, automorphisms(graph))
+        pt = PartialTrace(graph, automorphisms(graph), cfg)
+        bound = pt.bound
         seq = pt.seq
 
         def check(a, u, v):
@@ -1538,7 +1550,7 @@ def test_kind_lookahead_matches_reference_and_cuts_at_most_one_step(graph):
                 check(seq[-2], seq[-1], 0)
                 check(seq[-1], 0, 1)
                 return
-            cands = feasible_neighbors(pt, cfg)
+            cands = feasible_neighbors(pt)
             kept = [v for v in cands if check(seq[-2], seq[-1], v)]
             assert len(cands) - len(kept) <= 1, seq
             for v in canonical_extension(pt, kept):
